@@ -101,6 +101,7 @@ from .tensor_ops import (
     BatchNormParams,
     avg_pool2d,
     batch_norm,
+    batched_matmul,
     conv2d,
     elementwise_add,
     matmul,

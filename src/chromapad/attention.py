@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor_ops import matmul, softmax_last_axis
+from .tensor_ops import batched_matmul, matmul, softmax_last_axis
 
 
 @dataclass(frozen=True)
@@ -184,36 +184,35 @@ def qkv_project(tokens, params: AttentionParams, cfg: WindowAttentionConfig):
     params.validate(cfg)
     proj = matmul(tokens, np.ascontiguousarray(params.qkv_weight.T))
     proj = proj + params.qkv_bias
-    t = tokens.shape[0]
-    parts = []
-    for p in range(3):
-        block = proj[:, p * d:(p + 1) * d]
-        parts.append(
-            np.ascontiguousarray(
-                block.reshape(t, cfg.num_heads, cfg.head_dim).transpose(1, 0, 2)
-            )
-        )
-    return tuple(parts)
+    parts = proj.reshape(-1, 3, cfg.num_heads, cfg.head_dim)
+    return tuple(np.ascontiguousarray(p) for p in parts.transpose(1, 2, 0, 3))
 
 
 def window_attention_head(q, k, v, bias) -> np.ndarray:
-    """Single-head attention: softmax(q @ k.T / sqrt(d_h) + bias) @ v."""
-    q = np.asarray(q, np.float32)
-    k = np.asarray(k, np.float32)
-    v = np.asarray(v, np.float32)
-    bias = np.asarray(bias, np.float32)
-    if q.shape != k.shape or q.shape[0] != v.shape[0]:
+    """Attention softmax(q @ k.T / sqrt(d_h) + bias) @ v on the last two axes.
+
+    Leading axes of q, k (..., N, d_h) and v (..., N, d_v) index independent
+    instances, such as (head, window) pairs, run by one `batched_matmul` per
+    product with each element's accumulation order unchanged; ``bias``
+    (..., N, N) broadcasts over them.
+    """
+    q, k, v, bias = (np.asarray(t, np.float32) for t in (q, k, v, bias))
+    if q.ndim < 2 or q.shape != k.shape or q.shape[:-1] != v.shape[:-1]:
         raise ShapeError(
             f"inconsistent attention operands: q {q.shape}, k {k.shape}, "
             f"v {v.shape}"
         )
-    n = q.shape[0]
-    if bias.shape != (n, n):
-        raise ShapeError(f"bias shape {bias.shape}, expected ({n}, {n})")
-    scale = np.float32(math.sqrt(q.shape[1]))
-    logits = matmul(q, np.ascontiguousarray(k.T)) / scale + bias
-    weights = softmax_last_axis(logits)
-    return matmul(weights, v)
+    *lead, n, d_h = q.shape
+    bias_lead = bias.shape[:-2]
+    if bias.shape[-2:] != (n, n) or len(bias_lead) > len(lead) or any(
+            b not in (1, c) for b, c in zip(bias_lead[::-1], lead[::-1])):
+        raise ShapeError(f"bias shape {bias.shape} does not broadcast to "
+                         f"{(*lead, n, n)}")
+    k_t = k.reshape(-1, n, d_h).transpose(0, 2, 1)
+    logits = batched_matmul(q.reshape(-1, n, d_h), k_t).reshape(*lead, n, n)
+    weights = softmax_last_axis(logits / np.float32(math.sqrt(d_h)) + bias)
+    return batched_matmul(weights.reshape(-1, n, n),
+                          v.reshape(-1, n, v.shape[-1])).reshape(v.shape)
 
 
 def multi_head_window_attention(x, params: AttentionParams,
@@ -234,24 +233,16 @@ def multi_head_window_attention(x, params: AttentionParams,
     h, w, d = x.shape
     windows = window_partition(x, cfg.window)
     n_windows, n_tokens, _ = windows.shape
-    if bias is None:
-        bias = expand_relative_bias(params.rel_bias_table, cfg.window)
-    else:
-        bias = raw_bias_matrices(bias, cfg)
+    bias = (expand_relative_bias(params.rel_bias_table, cfg.window)
+            if bias is None else raw_bias_matrices(bias, cfg))
 
     q, k, v = qkv_project(windows.reshape(n_windows * n_tokens, d), params, cfg)
-    q = q.reshape(cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
-    k = k.reshape(cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
-    v = v.reshape(cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
-
-    out = np.empty((n_windows, n_tokens, d), np.float32)
-    for wi in range(n_windows):
-        for head in range(cfg.num_heads):
-            attended = window_attention_head(
-                q[head, wi], k[head, wi], v[head, wi], bias[head]
-            )
-            out[wi, :, head * cfg.head_dim:(head + 1) * cfg.head_dim] = attended
-    mixed = matmul(out.reshape(n_windows * n_tokens, d),
-                   np.ascontiguousarray(params.out_weight.T))
+    per_head = (cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
+    # one call for every (head, window); each head's bias spans its windows
+    attended = window_attention_head(q.reshape(per_head), k.reshape(per_head),
+                                     v.reshape(per_head), bias[:, None])
+    # concatenate heads along channels: (heads, nW, N, d_h) -> (nW * N, d)
+    out = attended.transpose(1, 2, 0, 3).reshape(n_windows * n_tokens, d)
+    mixed = matmul(out, np.ascontiguousarray(params.out_weight.T))
     mixed = mixed + params.out_bias
     return window_reverse(mixed.reshape(n_windows, n_tokens, d), h, w, cfg.window)

@@ -61,11 +61,14 @@ def det_curve(s: ScoreSet):
 
     Thresholds are the sorted unique scores of both lists plus a sentinel
     below the minimum and one above the maximum, so the curve always spans
-    from (apcer, bpcer) = (1, 0) to (0, 1). APCER is non-increasing and
-    BPCER non-decreasing along the sweep.
+    from (apcer, bpcer) = (1, 0) to (0, 1). The sentinels sit 1.0 beyond
+    the extremes, or |extreme| beyond where a step of 1.0 would round away.
+    APCER is non-increasing and BPCER non-decreasing along the sweep.
     """
     uniq = np.unique(np.concatenate([s.bonafide, s.attack]))
-    taus = np.concatenate([[uniq[0] - 1.0], uniq, [uniq[-1] + 1.0]])
+    lo, hi = uniq[0], uniq[-1]
+    taus = np.concatenate([[lo - 1.0 if lo - 1.0 < lo else lo - abs(lo)], uniq,
+                           [hi + 1.0 if hi + 1.0 > hi else hi + abs(hi)]])
     attack_sorted = np.sort(s.attack)
     bona_sorted = np.sort(s.bonafide)
     below_attack = np.searchsorted(attack_sorted, taus, side="left")
@@ -80,15 +83,26 @@ def det_curve(s: ScoreSet):
     ]
 
 
+def _operating_point(points, alpha=None):
+    """(rate, threshold) of the EER (``alpha`` None) or of the minimum BPCER
+    with APCER <= ``alpha`` over DET points, ties to the smaller threshold."""
+    if alpha is None:
+        best = min(points, key=lambda p: (abs(p.apcer - p.bpcer), p.threshold))
+        return (best.apcer + best.bpcer) / 2.0, best.threshold
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    qualifying = [p for p in points if p.apcer <= alpha]
+    best = min(qualifying, key=lambda p: (p.bpcer, p.threshold))
+    return best.bpcer, best.threshold
+
+
 def eer(s: ScoreSet):
     """(equal error rate, threshold) over the DET sweep.
 
     Picks the threshold minimizing |APCER - BPCER| (smallest threshold on
     ties) and reports the midpoint of the two rates there.
     """
-    points = det_curve(s)
-    best = min(points, key=lambda p: (abs(p.apcer - p.bpcer), p.threshold))
-    return (best.apcer + best.bpcer) / 2.0, best.threshold
+    return _operating_point(det_curve(s))
 
 
 def bpcer_at_apcer(s: ScoreSet, alpha: float):
@@ -98,11 +112,7 @@ def bpcer_at_apcer(s: ScoreSet, alpha: float):
     minimum always exists; the smallest qualifying threshold achieving it
     is reported.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    qualifying = [p for p in det_curve(s) if p.apcer <= alpha]
-    best = min(qualifying, key=lambda p: (p.bpcer, p.threshold))
-    return best.bpcer, best.threshold
+    return _operating_point(det_curve(s), alpha)
 
 
 def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
@@ -124,12 +134,11 @@ def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
 
 
 def evaluate_scores(s: ScoreSet, alphas=(0.05, 0.10)):
-    """Summary report: EER, its threshold, and BPCER at each APCER cap."""
-    rate, tau = eer(s)
-    bpcer_block = {}
-    for alpha in alphas:
-        value, _ = bpcer_at_apcer(s, alpha)
-        bpcer_block[f"{alpha:g}"] = value
+    """EER, its threshold, and BPCER at each APCER cap, from one DET sweep."""
+    points = det_curve(s)
+    rate, tau = _operating_point(points)
+    bpcer_block = {f"{alpha:g}": _operating_point(points, alpha)[0]
+                   for alpha in alphas}
     return {"eer": rate, "threshold": tau, "bpcer_at": bpcer_block}
 
 

@@ -43,7 +43,7 @@ from .blocks import (
 )
 from .colorspace import ColorImage, ColorSpace, convert, image_to_tensor, load_ppm
 from .errors import ConfigError, ShapeError, SpaceError, WeightFileError
-from .metrics import ScoreSet, bpcer_at_apcer
+from .metrics import ScoreSet, _operating_point, det_curve
 from .quant import (
     DEFAULT_POLICY,
     QuantParams,
@@ -611,10 +611,8 @@ def ablate(entries, alphas=(0.05, 0.10)):
     rows = []
     for cfg, scores in entries:
         cfg.validate()
-        bpcer = {}
-        for alpha in alphas:
-            value, _ = bpcer_at_apcer(scores, alpha)
-            bpcer[alpha] = value
+        points = det_curve(scores)
+        bpcer = {alpha: _operating_point(points, alpha)[0] for alpha in alphas}
         rows.append(AblationRow(config=cfg, bpcer=bpcer))
     return rows
 

@@ -4,6 +4,10 @@ Every reduction in this module accumulates in ascending index order, so each
 kernel is bit-reproducible across runs and `matmul` is bit-for-bit equal to a
 naive triple loop. Tensors are numpy float32 arrays of rank 1..4; kernels are
 pure functions and never mutate their inputs.
+
+`batched_matmul` is the one contraction kernel: `matmul` is its batch of one
+and `conv2d` runs every group as one batch entry. Batching never changes the
+order in which one output element's products are summed.
 """
 
 from __future__ import annotations
@@ -43,65 +47,76 @@ _BLOCK_BUDGET = 98304
 
 
 def _matmul_numpy(a_t, b, out):
-    inner, m = a_t.shape
-    n = b.shape[1]
-    block = max(1, min(n, _BLOCK_BUDGET // max(m, 1)))
-    acc = np.empty((m, block), np.float32)
-    buf = np.empty((m, block), np.float32)
+    batch, inner, m = a_t.shape
+    n = b.shape[2]
+    block = max(1, min(n, _BLOCK_BUDGET // max(batch * m, 1)))
+    acc = np.empty((batch, m, block), np.float32)
+    buf = np.empty((batch, m, block), np.float32)
     for j0 in range(0, n, block):
         width = min(block, n - j0)
-        acc_v = acc[:, :width]
-        buf_v = buf[:, :width]
+        acc_v = acc[:, :, :width]
+        buf_v = buf[:, :, :width]
         acc_v[...] = 0.0
         for k in range(inner):
-            np.multiply(a_t[k, :, None], b[k, j0:j0 + width], out=buf_v)
+            np.multiply(a_t[:, k, :, None], b[:, k, None, j0:j0 + width],
+                        out=buf_v)
             np.add(acc_v, buf_v, out=acc_v)
-        out[:, j0:j0 + width] = acc_v
+        out[:, :, j0:j0 + width] = acc_v
 
 
-if numba is not None:
-    # strict IEEE mode (no fastmath): each product rounds to float32 and
-    # each add rounds to float32, exactly like the numpy fallback; row
-    # blocking changes only the traversal across output elements
-    @numba.njit(cache=True)
-    def _matmul_compiled(a_t, b, out):  # pragma: no cover - compiled
-        inner, m = a_t.shape
-        n = b.shape[1]
+def _matmul_loops(a_t, b, out):
+    # strict IEEE (no fastmath when compiled): each product rounds to
+    # float32 and each add rounds to float32, exactly like `_matmul_numpy`;
+    # row blocking changes only the traversal across output elements
+    batch, inner, m = a_t.shape
+    n = b.shape[2]
+    for s in range(batch):
         for i0 in range(0, m, 16):
             i1 = min(i0 + 16, m)
             for i in range(i0, i1):
                 for j in range(n):
-                    out[i, j] = np.float32(0.0)
+                    out[s, i, j] = np.float32(0.0)
             for k in range(inner):
                 for i in range(i0, i1):
-                    aik = a_t[k, i]
+                    aik = a_t[s, k, i]
                     for j in range(n):
-                        out[i, j] = out[i, j] + aik * b[k, j]
-else:
-    _matmul_compiled = None
+                        out[s, i, j] = out[s, i, j] + aik * b[s, k, j]
+
+
+_matmul_compiled = numba.njit(cache=True)(_matmul_loops) if numba else None
+
+
+def batched_matmul(a, b) -> np.ndarray:
+    """Independent products ``c[s] = a[s] @ b[s]`` of (B, m, k) and (B, k, n).
+
+    Each output element accumulates in float32 in ascending-k order, so
+    ``c[s]`` is bit-for-bit ``matmul(a[s], b[s])`` and the naive triple
+    loop. The compiled and pure-numpy paths produce identical bytes.
+    """
+    a = _as_f32(a, 3, "batched_matmul left operand")
+    b = _as_f32(b, 3, "batched_matmul right operand")
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"batched_matmul needs (B, m, k) and (B, k, n) "
+                         f"operands, got {a.shape} and {b.shape}")
+    a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
+    (_matmul_compiled or _matmul_numpy)(a_t, np.ascontiguousarray(b), out)
+    return out
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product ``c[i, j] = sum_k a[i, k] * b[k, j]``.
+    """Matrix product ``c[i, j] = sum_k a[i, k] * b[k, j]`` of 2-D operands.
 
     Accumulates in float32 in ascending-k order, which makes the result
     bit-for-bit equal to the naive triple loop evaluated left to right.
-    The compiled and pure-numpy execution paths produce identical bytes;
-    they differ only in how output elements are traversed.
+    This is the batch-of-one case of `batched_matmul`; stacks of products
+    go there instead.
     """
     a = _as_f32(a, 2, "matmul left operand")
     b = _as_f32(b, 2, "matmul right operand")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    m, inner = a.shape
-    n = b.shape[1]
-    a_t = np.ascontiguousarray(a.T)
-    out = np.empty((m, n), dtype=np.float32)
-    if _matmul_compiled is not None:
-        _matmul_compiled(a_t, np.ascontiguousarray(b), out)
-    else:
-        _matmul_numpy(a_t, b, out)
-    return out
+    return batched_matmul(a[None], b[None])[0]
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
@@ -112,6 +127,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     with stride 1 and no padding is a pointwise channel mix. Output extents
     must come out as exact positive integers; nothing is silently truncated.
     Taps accumulate in ascending (channel, kernel row, kernel col) order.
+    All groups run as one `batched_matmul`, one batch entry per group.
     """
     x = _as_f32(x, 3, "conv2d input")
     weight = _as_f32(weight, 4, "conv2d weight")
@@ -137,34 +153,18 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
             f"conv2d output extent is not a positive integer for input "
             f"{x.shape}, kernel {k_h}x{k_w}, stride {stride}, padding {padding}"
         )
-    out_h = span_h // stride + 1
-    out_w = span_w // stride + 1
 
-    if padding:
-        padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding), np.float32)
-        padded[:, padding:padding + h, padding:padding + w] = x
-    else:
-        padded = x
-    # gather taps into a patch matrix, row-major over (channel, row, col),
-    # then contract with the flattened weights; the matmul's ascending-k
-    # sweep IS the ascending tap order per output element
-    out = np.empty((c_out, out_h, out_w), np.float32)
-    c_out_g = c_out // groups
+    padded = np.pad(x, [(0, 0)] + [(padding, padding)] * 2) if padding else x
+    # one (groups, taps, pixels) patch tensor, taps row-major over (channel,
+    # kernel row, kernel col); the batched matmul's ascending-k sweep IS
+    # the ascending tap order per output element
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (k_h, k_w), axis=(1, 2))[:, ::stride, ::stride]
+    _, out_h, out_w = windows.shape[:3]
     taps = c_in_g * k_h * k_w
-    col = np.empty((taps, out_h * out_w), np.float32)
-    weight = np.ascontiguousarray(weight)
-    for g in range(groups):
-        t = 0
-        for ci in range(c_in_g):
-            plane = padded[g * c_in_g + ci]
-            for i in range(k_h):
-                rows = plane[i:i + span_h + 1:stride]
-                for j in range(k_w):
-                    col[t] = rows[:, j:j + span_w + 1:stride].reshape(-1)
-                    t += 1
-        flat = weight[g * c_out_g:(g + 1) * c_out_g].reshape(c_out_g, taps)
-        out[g * c_out_g:(g + 1) * c_out_g] = \
-            matmul(flat, col).reshape(c_out_g, out_h, out_w)
+    patches = windows.transpose(0, 3, 4, 1, 2).reshape(groups, taps, -1)
+    flat = weight.reshape(groups, c_out // groups, taps)
+    out = batched_matmul(flat, patches).reshape(c_out, out_h, out_w)
     if bias is not None:
         bias = _as_f32(bias, 1, "conv2d bias")
         if bias.shape[0] != c_out:

@@ -20,6 +20,7 @@ from chromapad.attention import (
     window_reverse,
 )
 from chromapad.errors import ConfigError, ShapeError
+from chromapad.tensor_ops import matmul
 
 
 def random_params(cfg, rng, zero_bias_table=False):
@@ -61,6 +62,27 @@ def naive_full_attention(x_tokens, params, cfg):
     merged = np.concatenate(outputs, axis=1)
     return merged @ params.out_weight.T.astype(np.float64) \
         + params.out_bias.astype(np.float64)
+
+
+def per_window_head_attention(x, params, cfg):
+    """One 2-D attention call per (window, head), heads concatenated."""
+    h, w, d = x.shape
+    wins = window_partition(x, cfg.window)
+    n_windows, n_tokens, _ = wins.shape
+    bias = expand_relative_bias(params.rel_bias_table, cfg.window)
+    q, k, v = qkv_project(wins.reshape(-1, d), params, cfg)
+    shape = (cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
+    q, k, v = q.reshape(shape), k.reshape(shape), v.reshape(shape)
+    out = np.empty((n_windows, n_tokens, d), np.float32)
+    for wi in range(n_windows):
+        for head in range(cfg.num_heads):
+            cols = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+            out[wi, :, cols] = window_attention_head(
+                q[head, wi], k[head, wi], v[head, wi], bias[head])
+    mixed = matmul(out.reshape(-1, d), np.ascontiguousarray(params.out_weight.T))
+    mixed = mixed + params.out_bias
+    return window_reverse(mixed.reshape(n_windows, n_tokens, d), h, w,
+                          cfg.window)
 
 
 class TestConfig:
@@ -220,6 +242,21 @@ class TestAttentionHead:
         assert abs(float(out[0, 0]) - (2 * e + 4) / (e + 1)) < 1e-5
         assert abs(float(out[1, 0]) - 3.0) < 1e-5
 
+    def test_misshapen_operands_rejected(self):
+        q = np.zeros((4, 2), np.float32)
+        with pytest.raises(ShapeError):
+            window_attention_head(q, q, q, np.zeros((4, 5), np.float32))
+        with pytest.raises(ShapeError):
+            window_attention_head(q, np.zeros((4, 3), np.float32), q,
+                                  np.zeros((4, 4), np.float32))
+        with pytest.raises(ShapeError):
+            window_attention_head(q, q, np.zeros((3, 2), np.float32),
+                                  np.zeros((4, 4), np.float32))
+        with pytest.raises(ShapeError):
+            window_attention_head(q[0], q[0], q[0], np.zeros((4, 4), np.float32))
+        with pytest.raises(ShapeError):
+            window_attention_head(q, q, q, np.zeros((2, 4, 4), np.float32))
+
 
 class TestMultiHead:
     def test_zero_everything_gives_zero(self):
@@ -261,6 +298,22 @@ class TestMultiHead:
             got = multi_head_window_attention(x, params, cfg)
             want = naive_full_attention(x.reshape(w * w, d), params, cfg)
             assert np.max(np.abs(got.reshape(w * w, d) - want)) < 1e-5
+        # a 14x14 map of four 7x7 windows, 3 heads, non-zero bias table:
+        # each window against the oracle, the whole map bit-for-bit against
+        # one attention call per (window, head)
+        cfg = WindowAttentionConfig(embed_dim=12, num_heads=3, window=7)
+        params = random_params(cfg, rng)
+        assert np.any(params.rel_bias_table != 0)
+        x = rng.standard_normal((14, 14, 12)).astype(np.float32)
+        got = multi_head_window_attention(x, params, cfg)
+        assert got.tobytes() == per_window_head_attention(x, params, cfg) \
+            .tobytes()
+        for r in (0, 7):
+            for c in (0, 7):
+                tile = x[r:r + 7, c:c + 7].reshape(49, 12)
+                want = naive_full_attention(tile, params, cfg)
+                assert np.max(np.abs(
+                    got[r:r + 7, c:c + 7].reshape(49, 12) - want)) < 1e-5
 
     def test_token_permutation_equivariance_with_zero_bias(self):
         cfg = WindowAttentionConfig(embed_dim=4, num_heads=2, window=2)

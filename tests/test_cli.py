@@ -137,6 +137,26 @@ class TestEval:
         assert lines[0] == "threshold,apcer,bpcer"
         assert len(lines) == 1 + len(det_curve(scores))
 
+    @pytest.mark.parametrize("rows, n_unique", [
+        ("bonafide,0\nattack,1e20\n", 2),
+        ("bonafide,-1e17\nbonafide,0.7\nattack,0.2\n", 3),
+    ], ids=("attack_1e20", "bonafide_minus_1e17"))
+    def test_huge_scores_keep_sentinels_distinct(self, workspace, capsys,
+                                                 rows, n_unique):
+        # a sentinel 1.0 beyond a score of magnitude >= 2**53 rounds back
+        # onto it; the sweep must still span (1, 0) to (0, 1)
+        path = workspace["dir"] / "huge.csv"
+        path.write_text("label,score\n" + rows, encoding="utf-8")
+        det_path = workspace["dir"] / "huge_det.csv"
+        assert main(["eval", "--scores", str(path), "--det",
+                     str(det_path)]) == EXIT_OK
+        table = [[float(v) for v in line.split(",")]
+                 for line in det_path.read_text("utf-8").split("\n")[1:-1]]
+        assert len(table) == n_unique + 2
+        thresholds = [row[0] for row in table]
+        assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+        assert table[0][1:] == [1.0, 0.0] and table[-1][1:] == [0.0, 1.0]
+
     def test_perfectly_separated_eer_zero(self, workspace, capsys):
         path = workspace["dir"] / "sep.csv"
         path.write_text("label,score\nbonafide,0.9\nbonafide,0.8\n"

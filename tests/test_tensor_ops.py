@@ -10,6 +10,7 @@ from chromapad.tensor_ops import (
     BatchNormParams,
     avg_pool2d,
     batch_norm,
+    batched_matmul,
     conv2d,
     elementwise_add,
     matmul,
@@ -60,6 +61,30 @@ def loopnest_conv(x, weight, bias, stride, padding, groups):
     return out
 
 
+def f32_tap_conv(x, weight, stride, padding, groups):
+    """Per-output float32 sum over (channel, row, col) taps in ascending
+    order, padded taps included: the kernel's exact arithmetic."""
+    c_out, c_in_g, k_h, k_w = weight.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    out_h = (xp.shape[1] - k_h) // stride + 1
+    out_w = (xp.shape[2] - k_w) // stride + 1
+    c_out_g = c_out // groups
+    out = np.zeros((c_out, out_h, out_w), np.float32)
+    for co in range(c_out):
+        base = co // c_out_g * c_in_g
+        for oi in range(out_h):
+            for oj in range(out_w):
+                acc = np.float32(0.0)
+                for ci in range(c_in_g):
+                    for ki in range(k_h):
+                        for kj in range(k_w):
+                            tap = xp[base + ci, oi * stride + ki,
+                                     oj * stride + kj]
+                            acc = np.float32(acc + weight[co, ci, ki, kj] * tap)
+                out[co, oi, oj] = acc
+    return out
+
+
 class TestMatmul:
     def test_hand_example(self):
         c = matmul(tensor([[1, 2], [3, 4]]), tensor([[5, 6], [7, 8]]))
@@ -94,6 +119,13 @@ class TestMatmul:
         with pytest.raises(ShapeError) as err:
             matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+        with pytest.raises(ShapeError) as err:
+            batched_matmul(np.zeros((2, 3, 4), np.float32),
+                           np.zeros((3, 4, 5), np.float32))
+        assert "(2, 3, 4)" in str(err.value) and "(3, 4, 5)" in str(err.value)
+        with pytest.raises(ShapeError):
+            batched_matmul(np.zeros((3, 4), np.float32),
+                           np.zeros((4, 5), np.float32))
 
 
 class TestConv2d:
@@ -153,6 +185,10 @@ class TestConv2d:
         got = conv2d(x, weight, padding=1, groups=4)
         want = loopnest_conv(x, weight, None, 1, 1, 4)
         assert np.max(np.abs(got - want)) < 1e-5
+        assert got.tobytes() == f32_tap_conv(x, weight, 1, 1, 4).tobytes()
+        odd = x[:, :5, :5]
+        strided = conv2d(odd, weight, stride=2, padding=1, groups=4)
+        assert strided.tobytes() == f32_tap_conv(odd, weight, 2, 1, 4).tobytes()
 
     def test_grouped_matches_loopnest(self):
         rng = np.random.default_rng(6)
@@ -162,6 +198,9 @@ class TestConv2d:
         got = conv2d(x, weight, bias=bias, stride=1, padding=0, groups=2)
         want = loopnest_conv(x, weight, bias, 1, 0, 2)
         assert np.max(np.abs(got - want)) < 1e-5
+        unbiased = conv2d(x, weight, padding=1, groups=2)
+        assert unbiased.tobytes() == \
+            f32_tap_conv(x, weight, 1, 1, 2).tobytes()
 
     def test_non_integer_output_extent_rejected(self):
         x = np.zeros((1, 4, 4), np.float32)
@@ -335,24 +374,35 @@ class TestTensorValidation:
 
 
 @settings(max_examples=25)
-@given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 6),
-       st.integers(1, 6))
-def test_matmul_property_vs_oracle(seed, m, k, n):
+@given(st.integers(0, 2**31), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 6), st.integers(1, 6))
+def test_matmul_property_vs_oracle(seed, batch, m, k, n):
     rng = np.random.default_rng(seed)
-    a = (rng.standard_normal((m, k)) * 10).astype(np.float32)
-    b = (rng.standard_normal((k, n)) * 10).astype(np.float32)
-    assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+    a = (rng.standard_normal((batch, m, k)) * 10).astype(np.float32)
+    b = (rng.standard_normal((batch, k, n)) * 10).astype(np.float32)
+    assert matmul(a[0], b[0]).tobytes() == naive_matmul(a[0], b[0]).tobytes()
+    got = batched_matmul(a, b)
+    for s in range(batch):
+        assert got[s].tobytes() == naive_matmul(a[s], b[s]).tobytes()
 
 
 def test_compiled_and_numpy_matmul_paths_identical():
+    # the loop nest runs as plain Python here and is what gets compiled when
+    # numba is present, so both kernel bodies are compared on every install
     import chromapad.tensor_ops as T
 
     rng = np.random.default_rng(21)
-    for _ in range(30):
-        m, k, n = rng.integers(1, 48, size=3)
-        a = (rng.standard_normal((m, k)) * 100).astype(np.float32)
-        b = (rng.standard_normal((k, n)) * 100).astype(np.float32)
-        via_public = matmul(a, b)
-        fallback = np.empty((m, n), np.float32)
-        T._matmul_numpy(np.ascontiguousarray(a.T), b, fallback)
-        assert via_public.tobytes() == fallback.tobytes()
+    shapes = [(1, 1, 1, 1), (3, 17, 4, 5), (2, 33, 3, 2)]
+    shapes += [tuple(rng.integers(1, 20, size=4)) for _ in range(8)]
+    for batch, m, k, n in shapes:
+        a_t = (rng.standard_normal((batch, k, m)) * 100).astype(np.float32)
+        b = (rng.standard_normal((batch, k, n)) * 100).astype(np.float32)
+        fallback = np.empty((batch, m, n), np.float32)
+        T._matmul_numpy(a_t, b, fallback)
+        loops = np.empty((batch, m, n), np.float32)
+        T._matmul_loops(a_t, b, loops)
+        assert loops.tobytes() == fallback.tobytes()
+        if T._matmul_compiled is not None:
+            compiled = np.empty((batch, m, n), np.float32)
+            T._matmul_compiled(a_t, b, compiled)
+            assert compiled.tobytes() == fallback.tobytes()
