@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PpmParseError, ShapeError, SpaceError
+from .quant import _round_half_away
 
 
 class ColorSpace(enum.Enum):
@@ -118,10 +119,6 @@ def to_ppm_bytes(img: ColorImage) -> bytes:
     _require_space(img, ColorSpace.RGB, "to_ppm_bytes")
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.pixels.tobytes()
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 def rgb_to_hsv(img: ColorImage) -> ColorImage:

@@ -7,15 +7,22 @@ decimals only at display time. Parameter counts follow the per-layer
 formulas (convolution and affine weights plus a bias per output channel),
 so they describe the counting convention rather than the exact tensor
 inventory of a built model.
+
+``param_bytes`` is 4 bytes per convention parameter. With dynamic
+quantization, each weight tensor that `quant.DEFAULT_POLICY` matches costs
+1 byte per element plus a `PARAM_OVERHEAD_BYTES` (16-byte) parameter block
+instead; each layer names its weight tensors, and their sizes come from
+`model.tensor_layout`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import ModelConfig
-from .quant import PARAM_OVERHEAD_BYTES
+from .model import ModelConfig, tensor_layout
+from .quant import DEFAULT_POLICY, PARAM_OVERHEAD_BYTES, _as_predicate
 
 
 @dataclass(frozen=True)
@@ -115,32 +122,18 @@ def macs_window_attention(cfg, n_windows):
     return per_window * n_windows, params
 
 
-@dataclass(frozen=True)
-class _ByteCost:
-    quantizable_weight_elems: int = 0
-    quantizable_tensors: int = 0
-    plain_elems: int = 0
-
-    def bytes_with_dq(self) -> int:
-        return (self.quantizable_weight_elems
-                + PARAM_OVERHEAD_BYTES * self.quantizable_tensors
-                + 4 * self.plain_elems)
-
-    def bytes_plain(self) -> int:
-        return 4 * (self.quantizable_weight_elems + self.plain_elems)
-
-
 def model_complexity(cfg: ModelConfig) -> ComplexityReport:
     """Walk the configured architecture and sum exact per-layer costs."""
     cfg.validate()
     attn_cfg = cfg.attention_config
     d = cfg.embed_dim
+    sizes = {spec.name: math.prod(spec.shape) for spec in tensor_layout(cfg)}
     layers = []
-    byte_costs = []
+    weight_sizes = {}
 
-    def add(name, macs, params, byte_cost):
+    def add(name, macs, params, *weights):
         layers.append(LayerCost(name=name, macs=macs, params=params))
-        byte_costs.append(byte_cost)
+        weight_sizes.update((w, sizes[w]) for w in weights)
 
     for space in cfg.branches:
         size = cfg.input_size
@@ -149,44 +142,31 @@ def model_complexity(cfg: ModelConfig) -> ComplexityReport:
             base = f"branch.{space.value}.backbone.{i}"
             macs, params = macs_conv2d(c_in, c_in, 3, 3, size, size,
                                        groups=c_in)
-            add(f"{base}.depthwise", macs, params,
-                _ByteCost(plain_elems=9 * c_in + c_in))
+            add(f"{base}.depthwise", macs, params, f"{base}.depthwise_weight")
             size //= blk.stride
             macs, params = macs_conv2d(c_in, blk.out_channels, 1, 1,
                                        size, size)
-            add(f"{base}.pointwise", macs, params,
-                _ByteCost(quantizable_weight_elems=blk.out_channels * c_in,
-                          quantizable_tensors=1,
-                          plain_elems=blk.out_channels))
+            add(f"{base}.pointwise", macs, params, f"{base}.pointwise_weight")
             c_in = blk.out_channels
         fs = cfg.feature_size
         macs, params = macs_conv2d(c_in, d, 1, 1, fs, fs)
-        add(f"branch.{space.value}.bottleneck", macs, params,
-            _ByteCost(quantizable_weight_elems=d * c_in,
-                      quantizable_tensors=1, plain_elems=d))
+        base = f"branch.{space.value}"
+        add(f"{base}.bottleneck", macs, params, f"{base}.bottleneck.weight")
         if cfg.attention_enabled:
             n_windows = (fs // cfg.window) ** 2
             macs, params = macs_window_attention(attn_cfg, n_windows)
-            add(f"branch.{space.value}.attention", macs, params,
-                _ByteCost(quantizable_weight_elems=3 * d * d + d * d,
-                          quantizable_tensors=2,
-                          plain_elems=3 * d + d
-                          + cfg.num_heads * attn_cfg.bias_table_size))
+            add(f"{base}.attention", macs, params,
+                f"{base}.attention.qkv_weight", f"{base}.attention.out_weight")
 
     fs = cfg.feature_size
     macs, params = macs_conv2d(d, d, 1, 1, fs, fs)
-    add("fusion.mix", macs, params,
-        _ByteCost(quantizable_weight_elems=d * d, quantizable_tensors=1,
-                  plain_elems=d))
+    add("fusion.mix", macs, params, "fusion.mix_weight")
     if cfg.residual_enabled:
         for stage in ("conv1", "conv2"):
             macs, params = macs_conv2d(d, d, 3, 3, fs, fs)
-            add(f"residual.{stage}", macs, params,
-                _ByteCost(plain_elems=9 * d * d + d))
+            add(f"residual.{stage}", macs, params, f"residual.{stage}_weight")
     macs, params = macs_linear(d, 2, tokens=1)
-    add("classifier", macs, params,
-        _ByteCost(quantizable_weight_elems=2 * d, quantizable_tensors=1,
-                  plain_elems=2))
+    add("classifier", macs, params, "classifier.weight")
 
     notes = [
         "one MAC is one multiply plus one accumulate; bias additions, the "
@@ -195,15 +175,16 @@ def model_complexity(cfg: ModelConfig) -> ComplexityReport:
         "totals describe this package's simplified depthwise-separable "
         "backbone, not any externally published variant of the architecture",
     ]
+    param_bytes = 4 * sum(layer.params for layer in layers)
     if cfg.dq_enabled:
-        param_bytes = sum(b.bytes_with_dq() for b in byte_costs)
+        quantized = _as_predicate(DEFAULT_POLICY)
+        param_bytes -= sum(3 * n - PARAM_OVERHEAD_BYTES
+                           for w, n in weight_sizes.items() if quantized(w))
         notes.append(
             "dynamic quantization shrinks parameter bytes (4 -> 1 per "
             "quantized weight element plus a 16-byte parameter block per "
             "tensor) while MAC counts are unchanged: weights reconstruct "
             "to float32 before any kernel runs"
         )
-    else:
-        param_bytes = sum(b.bytes_plain() for b in byte_costs)
     return ComplexityReport(layers=tuple(layers), param_bytes=param_bytes,
                             notes=tuple(notes))

@@ -6,6 +6,11 @@ the fraction of attack scores accepted; BPCER is the fraction of bona fide
 scores rejected. The DET curve sweeps every unique score plus one sentinel
 below the minimum and one above the maximum. EER on discrete data is the
 midpoint of the two rates at the threshold minimizing their gap.
+
+Every operating point is read by index from one array sweep: thresholds
+ascend, APCER never rises and BPCER never falls along it, so the EER is the
+first argmin of |APCER - BPCER| (the smallest threshold on ties) and the
+BPCER at an APCER cap is the one at the first index with APCER <= cap.
 """
 
 from __future__ import annotations
@@ -56,6 +61,18 @@ def bpcer_at(s: ScoreSet, tau: float) -> float:
     return int(np.count_nonzero(s.bonafide < tau)) / s.bonafide.size
 
 
+def _sweep(s: ScoreSet):
+    """(taus, apcer, bpcer) float64 arrays of the DET sweep; see `det_curve`."""
+    uniq = np.unique(np.concatenate([s.bonafide, s.attack]))
+    lo, hi = uniq[0], uniq[-1]
+    taus = np.concatenate([[lo - 1.0 if lo - 1.0 < lo else lo - abs(lo)], uniq,
+                           [hi + 1.0 if hi + 1.0 > hi else hi + abs(hi)]])
+    below_attack = np.searchsorted(np.sort(s.attack), taus, side="left")
+    below_bona = np.searchsorted(np.sort(s.bonafide), taus, side="left")
+    apcer = (s.attack.size - below_attack) / s.attack.size
+    return taus, apcer, below_bona / s.bonafide.size
+
+
 def det_curve(s: ScoreSet):
     """One `DetPoint` per candidate threshold, ascending.
 
@@ -65,35 +82,25 @@ def det_curve(s: ScoreSet):
     the extremes, or |extreme| beyond where a step of 1.0 would round away.
     APCER is non-increasing and BPCER non-decreasing along the sweep.
     """
-    uniq = np.unique(np.concatenate([s.bonafide, s.attack]))
-    lo, hi = uniq[0], uniq[-1]
-    taus = np.concatenate([[lo - 1.0 if lo - 1.0 < lo else lo - abs(lo)], uniq,
-                           [hi + 1.0 if hi + 1.0 > hi else hi + abs(hi)]])
-    attack_sorted = np.sort(s.attack)
-    bona_sorted = np.sort(s.bonafide)
-    below_attack = np.searchsorted(attack_sorted, taus, side="left")
-    below_bona = np.searchsorted(bona_sorted, taus, side="left")
-    n_a = s.attack.size
-    n_b = s.bonafide.size
-    return [
-        DetPoint(threshold=float(t),
-                 apcer=int(n_a - ba) / n_a,
-                 bpcer=int(bb) / n_b)
-        for t, ba, bb in zip(taus, below_attack, below_bona)
-    ]
+    return [DetPoint(threshold=t, apcer=a, bpcer=b)
+            for t, a, b in zip(*(arr.tolist() for arr in _sweep(s)))]
 
 
-def _operating_point(points, alpha=None):
+def _operating_point(sweep, alpha=None):
     """(rate, threshold) of the EER (``alpha`` None) or of the minimum BPCER
-    with APCER <= ``alpha`` over DET points, ties to the smaller threshold."""
+    with APCER <= ``alpha`` over a `_sweep`, ties to the smaller threshold.
+
+    Read by index (see the module docstring): the points with APCER <= alpha
+    form a suffix of the sweep, and BPCER is smallest at its first index.
+    """
+    taus, apcer, bpcer = sweep
     if alpha is None:
-        best = min(points, key=lambda p: (abs(p.apcer - p.bpcer), p.threshold))
-        return (best.apcer + best.bpcer) / 2.0, best.threshold
+        i = int(np.argmin(np.abs(apcer - bpcer)))
+        return (float(apcer[i]) + float(bpcer[i])) / 2.0, float(taus[i])
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    qualifying = [p for p in points if p.apcer <= alpha]
-    best = min(qualifying, key=lambda p: (p.bpcer, p.threshold))
-    return best.bpcer, best.threshold
+    i = int(np.argmax(apcer <= alpha))
+    return float(bpcer[i]), float(taus[i])
 
 
 def eer(s: ScoreSet):
@@ -102,7 +109,7 @@ def eer(s: ScoreSet):
     Picks the threshold minimizing |APCER - BPCER| (smallest threshold on
     ties) and reports the midpoint of the two rates there.
     """
-    return _operating_point(det_curve(s))
+    return _operating_point(_sweep(s))
 
 
 def bpcer_at_apcer(s: ScoreSet, alpha: float):
@@ -112,7 +119,7 @@ def bpcer_at_apcer(s: ScoreSet, alpha: float):
     minimum always exists; the smallest qualifying threshold achieving it
     is reported.
     """
-    return _operating_point(det_curve(s), alpha)
+    return _operating_point(_sweep(s), alpha)
 
 
 def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
@@ -135,9 +142,9 @@ def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
 
 def evaluate_scores(s: ScoreSet, alphas=(0.05, 0.10)):
     """EER, its threshold, and BPCER at each APCER cap, from one DET sweep."""
-    points = det_curve(s)
-    rate, tau = _operating_point(points)
-    bpcer_block = {f"{alpha:g}": _operating_point(points, alpha)[0]
+    sweep = _sweep(s)
+    rate, tau = _operating_point(sweep)
+    bpcer_block = {f"{alpha:g}": _operating_point(sweep, alpha)[0]
                    for alpha in alphas}
     return {"eer": rate, "threshold": tau, "bpcer_at": bpcer_block}
 

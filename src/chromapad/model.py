@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .blocks import (
 )
 from .colorspace import ColorImage, ColorSpace, convert, image_to_tensor, load_ppm
 from .errors import ConfigError, ShapeError, SpaceError, WeightFileError
-from .metrics import ScoreSet, _operating_point, det_curve
+from .metrics import ScoreSet, _operating_point, _sweep
 from .quant import (
     DEFAULT_POLICY,
     QuantParams,
@@ -186,10 +186,6 @@ class ModelConfig:
             raise ConfigError("; ".join(problems))
 
     @property
-    def feature_channels(self) -> int:
-        return self.backbone[-1].out_channels if self.backbone else 3
-
-    @property
     def feature_size(self) -> int:
         size = self.input_size
         for blk in self.backbone:
@@ -204,43 +200,28 @@ class ModelConfig:
         )
 
     def to_json_dict(self):
-        return {
-            "branches": [b.value for b in self.branches],
-            "attention_enabled": self.attention_enabled,
-            "residual_enabled": self.residual_enabled,
-            "dq_enabled": self.dq_enabled,
-            "preset": self.preset,
-            "input_size": self.input_size,
-            "embed_dim": self.embed_dim,
-            "num_heads": self.num_heads,
-            "window": self.window,
-            "pool_factor": self.pool_factor,
-            "backbone": [
-                {"out_channels": b.out_channels, "stride": b.stride}
-                for b in self.backbone
-            ],
-            "seed": self.seed,
-            "input_normalization": INPUT_NORMALIZATION,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["branches"] = [b.value for b in self.branches]
+        out["backbone"] = [asdict(b) for b in self.backbone]
+        out["input_normalization"] = INPUT_NORMALIZATION
+        return out
 
     @classmethod
     def from_json_dict(cls, data) -> "ModelConfig":
-        known = {
-            "branches", "attention_enabled", "residual_enabled", "dq_enabled",
-            "preset", "input_size", "embed_dim", "num_heads", "window",
-            "pool_factor", "backbone", "seed", "input_normalization",
-        }
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"config must be a JSON object, got {type(data).__name__}"
+            )
+        kwargs = dict(data)
+        norm = kwargs.pop("input_normalization", INPUT_NORMALIZATION)
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        norm = data.get("input_normalization", INPUT_NORMALIZATION)
         if norm != INPUT_NORMALIZATION:
             raise ConfigError(
                 f"unsupported input_normalization {norm!r}; this build uses "
                 f"{INPUT_NORMALIZATION!r}"
             )
-        kwargs = {k: data[k] for k in data
-                  if k in known and k != "input_normalization"}
         return cls(**kwargs)
 
 
@@ -532,7 +513,14 @@ def read_tensor_file(path):
     tensors = {}
     for _ in range(count):
         (name_len,) = r.unpack("<I", "name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        raw_name = r.take(name_len, "tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightFileError(
+                f"tensor name is not UTF-8 at byte offset "
+                f"{r.pos - name_len + exc.start}"
+            ) from None
         dtype, rank = r.unpack("<BB", f"descriptor of {name!r}")
         if not 1 <= rank <= 4:
             raise WeightFileError(f"tensor {name!r} has invalid rank {rank}")
@@ -578,9 +566,7 @@ def load_weights(path, cfg: ModelConfig) -> Model:
     for name in tensors:
         if name not in expected:
             raise WeightFileError(f"unexpected tensor {name!r} for this config")
-        shape = tuple(int(e) for e in np.shape(
-            tensors[name].qdata if isinstance(tensors[name], QuantizedTensor)
-            else tensors[name]))
+        shape = tensors[name].shape
         if shape != expected[name]:
             raise WeightFileError(
                 f"tensor {name!r} has shape {shape}, config expects "
@@ -611,8 +597,8 @@ def ablate(entries, alphas=(0.05, 0.10)):
     rows = []
     for cfg, scores in entries:
         cfg.validate()
-        points = det_curve(scores)
-        bpcer = {alpha: _operating_point(points, alpha)[0] for alpha in alphas}
+        sweep = _sweep(scores)
+        bpcer = {alpha: _operating_point(sweep, alpha)[0] for alpha in alphas}
         rows.append(AblationRow(config=cfg, bpcer=bpcer))
     return rows
 

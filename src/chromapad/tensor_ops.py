@@ -41,27 +41,28 @@ def _as_f32(x, rank, name):
     return arr
 
 
-# accumulator elements per output-column block (~384 KiB of float32), sized
-# so the running block stays cache-resident through the whole k sweep
+# accumulator elements per output-row block (384 KiB of float32): with its
+# product buffer it stays L2-resident through the whole k sweep
 _BLOCK_BUDGET = 98304
 
 
 def _matmul_numpy(a_t, b, out):
+    # full output rows accumulate in place in `out`, so every ufunc call
+    # sweeps one contiguous n-long inner axis; each product is formed by
+    # spreading the a column over the block and scaling it by the b row,
+    # which numpy runs faster than the broadcast outer product
     batch, inner, m = a_t.shape
     n = b.shape[2]
-    block = max(1, min(n, _BLOCK_BUDGET // max(batch * m, 1)))
-    acc = np.empty((batch, m, block), np.float32)
-    buf = np.empty((batch, m, block), np.float32)
-    for j0 in range(0, n, block):
-        width = min(block, n - j0)
-        acc_v = acc[:, :, :width]
-        buf_v = buf[:, :, :width]
-        acc_v[...] = 0.0
+    rows = max(1, min(m, _BLOCK_BUDGET // max(batch * n, 1)))
+    buf = np.empty((batch, rows, n), np.float32)
+    for i0 in range(0, m, rows):
+        acc = out[:, i0:i0 + rows]
+        prod = buf[:, :acc.shape[1]]
+        acc[...] = 0.0
         for k in range(inner):
-            np.multiply(a_t[:, k, :, None], b[:, k, None, j0:j0 + width],
-                        out=buf_v)
-            np.add(acc_v, buf_v, out=acc_v)
-        out[:, :, j0:j0 + width] = acc_v
+            np.copyto(prod, a_t[:, k, i0:i0 + rows, None])
+            np.multiply(prod, b[:, k, None, :], out=prod)
+            np.add(acc, prod, out=acc)
 
 
 def _matmul_loops(a_t, b, out):

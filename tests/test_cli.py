@@ -99,6 +99,21 @@ class TestInfer:
                    "--image", str(workspace["images"][0])])
         assert rc == EXIT_DATA
 
+    def test_non_utf8_tensor_name_exits_2(self, workspace, capsys):
+        bad = workspace["dir"] / "bad_name.cfpa"
+        data = bytearray(workspace["weights"].read_bytes())
+        data[16] = 0xFF  # first byte of the first tensor name
+        bad.write_bytes(bytes(data))
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(bad),
+                   "--image", str(workspace["images"][0])])
+        assert rc == EXIT_DATA
+        assert "byte offset 16" in capsys.readouterr().err
+        rc = main(["quantize", "--weights", str(bad),
+                   "--out", str(workspace["dir"] / "out.cfpa")])
+        assert rc == EXIT_DATA
+        assert "byte offset 16" in capsys.readouterr().err
+
     def test_repeated_run_byte_identical(self, workspace):
         out1 = workspace["dir"] / "a.csv"
         out2 = workspace["dir"] / "b.csv"
@@ -251,6 +266,17 @@ class TestGmacs:
         data["embed_dim"] = 7
         bad.write_text(json.dumps(data), encoding="utf-8")
         assert main(["gmacs", "--config", str(bad)]) == EXIT_DATA
+
+    def test_non_object_config_exits_2(self, workspace, capsys):
+        bad = workspace["dir"] / "list.json"
+        bad.write_text("[]\n", encoding="utf-8")
+        assert main(["gmacs", "--config", str(bad)]) == EXIT_DATA
+        assert "JSON object" in capsys.readouterr().err
+        rc = main(["infer", "--config", str(bad),
+                   "--weights", str(workspace["weights"]),
+                   "--image", str(workspace["images"][0])])
+        assert rc == EXIT_DATA
+        assert "JSON object" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -199,6 +199,14 @@ class TestModelComplexity:
         assert dq.total_params == plain.total_params
         assert dq.param_bytes < plain.param_bytes
 
+    def test_param_bytes_pinned(self):
+        # 4 bytes per convention parameter; under DQ each default-policy
+        # weight tensor costs 1 byte per element plus a 16-byte block
+        assert model_complexity(ModelConfig.desk()).param_bytes == 609056
+        assert model_complexity(
+            ModelConfig.desk(dq_enabled=True)).param_bytes == 388912
+        assert model_complexity(ModelConfig.paper()).param_bytes == 74566544
+
     def test_json_round_trip(self):
         report = model_complexity(ModelConfig.desk())
         parsed = json.loads(json.dumps(report.to_json_dict()))

@@ -52,6 +52,17 @@ def brute_force_bpcer_at(bonafide, attack, alpha):
     return best[1], best[2]
 
 
+def score_lists(rng, n_max, ties):
+    """Two random score lists; with ``ties`` every score is rounded to one
+    decimal, so values recur within and across labels and the sweep has
+    equal |APCER - BPCER| gaps and BPCER plateaus."""
+    bona = rng.random(rng.integers(1, n_max))
+    attack = rng.random(rng.integers(1, n_max))
+    if ties:
+        bona, attack = np.round(bona, 1), np.round(attack, 1)
+    return list(bona), list(attack)
+
+
 def phi(x):
     """Standard normal CDF via the error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -148,11 +159,11 @@ class TestEer:
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            bona = list(rng.random(rng.integers(1, 100)))
-            attack = list(rng.random(rng.integers(1, 100)))
-            got = eer(ScoreSet(bonafide=bona, attack=attack))
-            assert got == brute_force_eer(bona, attack)
+        for ties in (False, True):
+            for _ in range(100):
+                bona, attack = score_lists(rng, 100, ties)
+                got = eer(ScoreSet(bonafide=bona, attack=attack))
+                assert got == brute_force_eer(bona, attack)
 
     def test_gaussian_two_sigma_gap(self):
         s = synth_scores(1.0, 0.0, 0.5, 10_000, seed=42)
@@ -175,13 +186,13 @@ class TestBpcerAtApcer:
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            bona = list(rng.random(rng.integers(1, 100)))
-            attack = list(rng.random(rng.integers(1, 100)))
-            s = ScoreSet(bonafide=bona, attack=attack)
-            for alpha in (0.05, 0.10, 0.37):
-                assert bpcer_at_apcer(s, alpha) == \
-                    brute_force_bpcer_at(bona, attack, alpha)
+        for ties in (False, True):
+            for _ in range(100):
+                bona, attack = score_lists(rng, 100, ties)
+                s = ScoreSet(bonafide=bona, attack=attack)
+                for alpha in (0.05, 0.10, 0.37):
+                    assert bpcer_at_apcer(s, alpha) == \
+                        brute_force_bpcer_at(bona, attack, alpha)
 
     def test_large_alpha_hits_first_qualifying_point(self):
         bona = [0.3, 0.6]

@@ -20,6 +20,7 @@ from chromapad.model import (
     forward,
     load_weights,
     read_tensor_file,
+    save_config,
     save_weights,
     scores_from_images,
     standard_ablation_grid,
@@ -88,6 +89,35 @@ class TestConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_json_dict({"bogus": 1})
+
+    def test_non_object_rejected(self):
+        for data in ([], "desk", 3, None):
+            with pytest.raises(ConfigError):
+                ModelConfig.from_json_dict(data)
+
+    def test_save_config_text_pinned(self, tmp_path):
+        path = tmp_path / "desk.json"
+        save_config(ModelConfig.desk(), path)
+        blocks = ",\n".join(
+            f'    {{\n      "out_channels": {c},\n      "stride": 2\n    }}'
+            for c in (16, 32, 64))
+        assert path.read_text(encoding="utf-8") == (
+            '{\n'
+            '  "branches": [\n    "RGB",\n    "HSV",\n    "YCbCr"\n  ],\n'
+            '  "attention_enabled": true,\n'
+            '  "residual_enabled": true,\n'
+            '  "dq_enabled": false,\n'
+            '  "preset": "desk",\n'
+            '  "input_size": 112,\n'
+            '  "embed_dim": 64,\n'
+            '  "num_heads": 4,\n'
+            '  "window": 7,\n'
+            '  "pool_factor": 2,\n'
+            f'  "backbone": [\n{blocks}\n  ],\n'
+            '  "seed": 0,\n'
+            '  "input_normalization": "divide_by_255"\n'
+            '}\n'
+        )
 
     def test_presets(self):
         desk = ModelConfig.desk()
@@ -321,6 +351,18 @@ class TestSerialization:
         with pytest.raises(WeightFileError) as err:
             load_weights(path, small_config())  # wants attention weights
         assert "attention" in str(err.value)
+
+    def test_non_utf8_name_reports_offset(self, tmp_path):
+        m = build_model(small_config())
+        path = tmp_path / "model.cfpa"
+        save_weights(m, path)
+        data = bytearray(path.read_bytes())
+        data[17] = 0xFF  # second byte of the first tensor name
+        path.write_bytes(bytes(data))
+        with pytest.raises(WeightFileError) as err:
+            read_tensor_file(path)
+        assert "UTF-8" in str(err.value)
+        assert "byte offset 17" in str(err.value)
 
     def test_version_field_checked(self, tmp_path):
         m = build_model(small_config())

@@ -392,7 +392,8 @@ def test_compiled_and_numpy_matmul_paths_identical():
     import chromapad.tensor_ops as T
 
     rng = np.random.default_rng(21)
-    shapes = [(1, 1, 1, 1), (3, 17, 4, 5), (2, 33, 3, 2)]
+    # (2, 9, 2, 7000) spans two output-row blocks of the numpy path
+    shapes = [(1, 1, 1, 1), (3, 17, 4, 5), (2, 33, 3, 2), (2, 9, 2, 7000)]
     shapes += [tuple(rng.integers(1, 20, size=4)) for _ in range(8)]
     for batch, m, k, n in shapes:
         a_t = (rng.standard_normal((batch, k, m)) * 100).astype(np.float32)
