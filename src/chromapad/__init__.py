@@ -60,6 +60,7 @@ from .metrics import (
     apcer_at,
     bpcer_at,
     bpcer_at_apcer,
+    det_csv,
     det_curve,
     eer,
     evaluate_scores,

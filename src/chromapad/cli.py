@@ -18,7 +18,10 @@ import sys
 
 from .complexity import model_complexity
 from .errors import ChromapadError
-from .metrics import evaluate_scores, det_curve, read_scores_csv, write_det_csv
+from .metrics import det_csv, evaluate_scores, read_scores_csv
+# not called here, but perfbench/tracing.py wraps these two at this module's
+# names, so they stay importable from it
+from .metrics import det_curve, write_det_csv  # noqa: F401
 from .model import (
     ModelConfig,
     ablate,
@@ -111,7 +114,7 @@ def _cmd_eval(args):
     report = evaluate_scores(scores, alphas)
     if args.det:
         with open(args.det, "w", encoding="utf-8", newline="") as fh:
-            fh.write(write_det_csv(det_curve(scores)))
+            fh.write(det_csv(scores))
     _emit(json.dumps(report) + "\n", args.out)
     return EXIT_OK
 

@@ -67,6 +67,22 @@ class BackboneBlockSpec:
     stride: int = 1
 
 
+def _backbone_block(i, entry) -> BackboneBlockSpec:
+    """Backbone entry ``i`` of a config, as given or from a JSON object."""
+    if isinstance(entry, BackboneBlockSpec):
+        return entry
+    if not isinstance(entry, dict):
+        raise ConfigError(f"backbone entry {i} must be a JSON object, "
+                          f"got {type(entry).__name__}")
+    unknown = set(entry) - {f.name for f in fields(BackboneBlockSpec)}
+    if unknown:
+        raise ConfigError(
+            f"unknown fields in backbone entry {i}: {sorted(unknown)}")
+    if "out_channels" not in entry:
+        raise ConfigError(f"backbone entry {i} has no out_channels")
+    return BackboneBlockSpec(**entry)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Every architectural toggle and dimension of the network."""
@@ -98,12 +114,8 @@ class ModelConfig:
                     pass  # validate() reports it
             branches.append(b)
         object.__setattr__(self, "branches", tuple(branches))
-        blocks = tuple(
-            BackboneBlockSpec(out_channels=b["out_channels"],
-                              stride=b.get("stride", 1))
-            if isinstance(b, dict) else b
-            for b in self.backbone
-        )
+        blocks = tuple(_backbone_block(i, b)
+                       for i, b in enumerate(self.backbone))
         object.__setattr__(self, "backbone", blocks)
         self.validate()
 

@@ -7,11 +7,16 @@ pure functions and never mutate their inputs.
 
 `batched_matmul` is the one contraction kernel: `matmul` is its batch of one
 and `conv2d` runs every group as one batch entry. Batching never changes the
-order in which one output element's products are summed.
+order in which one output element's products are summed. A large product is
+split into contiguous shares of batch entries or output rows, one per CPU
+the process may run on; each share runs the same kernel on a thread pool,
+so every output element is still one thread's ascending-k sum.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +89,58 @@ def _matmul_loops(a_t, b, out):
                         out[s, i, j] = out[s, i, j] + aik * b[s, k, j]
 
 
-_matmul_compiled = numba.njit(cache=True)(_matmul_loops) if numba else None
+# nogil lets the shares of one split product run in parallel
+_matmul_compiled = (numba.njit(cache=True, nogil=True)(_matmul_loops)
+                    if numba else None)
+
+# CPUs this process may run on; a product is split only when its
+# accumulator fills at least half a block per thread, so small products
+# (whose many short ufunc calls would contend for the GIL) stay serial
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _split_pool():
+    """The shared worker pool, created on the first split."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: importing chromapad starts no thread and does
+            # not pay for concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_THREADS,
+                                       thread_name_prefix="chromapad-matmul")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _matmul_split(kernel, a_t, b, out):
+    # contiguous shares of batch entries, or of output rows when there are
+    # fewer entries than threads; the kernel never submits work itself, so
+    # a pool worker never waits on the pool
+    batch, _, m = a_t.shape
+    if batch >= _THREADS:
+        step = -(-batch // _THREADS)
+        shares = [(a_t[s:s + step], b[s:s + step], out[s:s + step])
+                  for s in range(0, batch, step)]
+    else:
+        step = -(-m // _THREADS)
+        shares = [(a_t[:, :, i:i + step], b, out[:, i:i + step])
+                  for i in range(0, m, step)]
+    pool = _split_pool()
+    for future in [pool.submit(kernel, *share) for share in shares]:
+        future.result()
 
 
 def batched_matmul(a, b) -> np.ndarray:
@@ -92,7 +148,8 @@ def batched_matmul(a, b) -> np.ndarray:
 
     Each output element accumulates in float32 in ascending-k order, so
     ``c[s]`` is bit-for-bit ``matmul(a[s], b[s])`` and the naive triple
-    loop. The compiled and pure-numpy paths produce identical bytes.
+    loop. The compiled and pure-numpy paths produce identical bytes, and so
+    do the serial and the split runs of a large product.
     """
     a = _as_f32(a, 3, "batched_matmul left operand")
     b = _as_f32(b, 3, "batched_matmul right operand")
@@ -100,8 +157,13 @@ def batched_matmul(a, b) -> np.ndarray:
         raise ShapeError(f"batched_matmul needs (B, m, k) and (B, k, n) "
                          f"operands, got {a.shape} and {b.shape}")
     a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+    b = np.ascontiguousarray(b)
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
-    (_matmul_compiled or _matmul_numpy)(a_t, np.ascontiguousarray(b), out)
+    kernel = _matmul_compiled or _matmul_numpy
+    if _THREADS > 1 and out.size >= _THREADS * (_BLOCK_BUDGET // 2):
+        _matmul_split(kernel, a_t, b, out)
+    else:
+        kernel(a_t, b, out)
     return out
 
 

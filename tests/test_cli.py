@@ -13,6 +13,7 @@ from chromapad.metrics import (
     evaluate_scores,
     read_scores_csv,
     synth_scores,
+    write_det_csv,
     write_scores_csv,
 )
 from chromapad.model import ModelConfig, build_model, save_config, save_weights
@@ -151,6 +152,7 @@ class TestEval:
         scores = read_scores_csv(workspace["scores"].read_text("utf-8"))
         assert lines[0] == "threshold,apcer,bpcer"
         assert len(lines) == 1 + len(det_curve(scores))
+        assert det_path.read_text("utf-8") == write_det_csv(det_curve(scores))
 
     @pytest.mark.parametrize("rows, n_unique", [
         ("bonafide,0\nattack,1e20\n", 2),
@@ -277,6 +279,25 @@ class TestGmacs:
                    "--image", str(workspace["images"][0])])
         assert rc == EXIT_DATA
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ([16, 2], "backbone entry 0 must be a JSON object"),
+        ({"out_channels": 16, "stride": 2, "extra": 1},
+         "unknown fields in backbone entry 0: ['extra']"),
+    ], ids=("list", "unknown_key"))
+    def test_malformed_backbone_entry_exits_2(self, workspace, capsys,
+                                              entry, message):
+        bad = workspace["dir"] / "backbone.json"
+        data = workspace["cfg"].to_json_dict()
+        data["backbone"][0] = entry
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["gmacs", "--config", str(bad)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        rc = main(["infer", "--config", str(bad),
+                   "--weights", str(workspace["weights"]),
+                   "--image", str(workspace["images"][0])])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 class TestAblate:

@@ -11,6 +11,7 @@ from chromapad.metrics import (
     apcer_at,
     bpcer_at,
     bpcer_at_apcer,
+    det_csv,
     det_curve,
     eer,
     evaluate_scores,
@@ -270,6 +271,18 @@ class TestCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "threshold,apcer,bpcer"
         assert len(lines) == 1 + len(det_curve(s))
+
+    def test_det_csv_bytes_match_point_export(self):
+        # the f-string rows are the original point formatter
+        rng = np.random.default_rng(17)
+        for scale in (1e-300, 1e-3, 1.0, 1e17, 1e300):
+            s = ScoreSet(bonafide=rng.standard_normal(300) * scale,
+                         attack=np.round(rng.standard_normal(300), 1) * scale)
+            oracle = "threshold,apcer,bpcer\n" + "".join(
+                f"{p.threshold:.10g},{p.apcer:.10g},{p.bpcer:.10g}\n"
+                for p in det_curve(s))
+            assert write_det_csv(det_curve(s)) == oracle
+            assert det_csv(s) == oracle
 
 
 def test_evaluate_scores_block():

@@ -95,6 +95,20 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 ModelConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize("entry, message", [
+        ([16, 2], "backbone entry 1 must be a JSON object, got list"),
+        (16, "backbone entry 1 must be a JSON object, got int"),
+        ({"out_channels": 16, "stride": 2, "extra": 1},
+         "unknown fields in backbone entry 1: ['extra']"),
+        ({"stride": 2}, "backbone entry 1 has no out_channels"),
+    ], ids=("list", "int", "unknown_key", "no_out_channels"))
+    def test_malformed_backbone_entry_rejected(self, entry, message):
+        data = ModelConfig.desk().to_json_dict()
+        data["backbone"][1] = entry
+        with pytest.raises(ConfigError) as err:
+            ModelConfig.from_json_dict(data)
+        assert str(err.value) == message
+
     def test_save_config_text_pinned(self, tmp_path):
         path = tmp_path / "desk.json"
         save_config(ModelConfig.desk(), path)

@@ -1,5 +1,7 @@
 """Tensor kernel tests against independent reference implementations."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,3 +409,192 @@ def test_compiled_and_numpy_matmul_paths_identical():
             compiled = np.empty((batch, m, n), np.float32)
             T._matmul_compiled(a_t, b, compiled)
             assert compiled.tobytes() == fallback.tobytes()
+
+
+@pytest.fixture(params=[2, 3], ids=("2_threads", "3_threads"))
+def split_pool(request, monkeypatch):
+    """A 2- or 3-worker split pool in place of the host's, so splitting is
+    exercised on any host; yields a list that records each split's shape."""
+    import concurrent.futures
+    import chromapad.tensor_ops as T
+
+    threads = request.param
+    pool = concurrent.futures.ThreadPoolExecutor(threads)
+    splits = []
+    real_split = T._matmul_split
+
+    def recording_split(kernel, a_t, b, out):
+        splits.append(out.shape)
+        real_split(kernel, a_t, b, out)
+
+    monkeypatch.setattr(T, "_THREADS", threads)
+    monkeypatch.setattr(T, "_pool", pool)
+    monkeypatch.setattr(T, "_matmul_split", recording_split)
+    try:
+        yield splits
+    finally:
+        pool.shutdown(wait=True)
+
+
+def serial_kernel_product(a, b):
+    import chromapad.tensor_ops as T
+
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), np.float32)
+    (T._matmul_compiled or T._matmul_numpy)(
+        np.ascontiguousarray(a.transpose(0, 2, 1)), b, out)
+    return out
+
+
+def random_operands(seed, batch, m, k, n):
+    rng = np.random.default_rng(seed)
+    return ((rng.standard_normal((batch, m, k)) * 100).astype(np.float32),
+            (rng.standard_normal((batch, k, n)) * 100).astype(np.float32))
+
+
+class TestSplitProducts:
+    # (B, m, k, n) over the gate for 2 and 3 threads: B >= threads splits
+    # by batch entry (5 = 3 + 2 or 2 + 2 + 1), B < threads by rows
+    # (301 = 151 + 150 or 101 + 101 + 99)
+    @pytest.mark.parametrize("shape", [(5, 40, 4, 800), (1, 301, 5, 500),
+                                       (2, 97, 3, 800)])
+    def test_split_is_bit_identical_to_serial_kernel(self, split_pool,
+                                                     shape):
+        a, b = random_operands(31, *shape)
+        got = batched_matmul(a, b)
+        assert split_pool == [got.shape]
+        assert got.tobytes() == serial_kernel_product(a, b).tobytes()
+
+    def test_gate_is_accumulator_size(self, split_pool):
+        import chromapad.tensor_ops as T
+
+        # m * n equals the gate exactly at m = 48 * threads, n = 1024
+        gate_rows = T._THREADS * (T._BLOCK_BUDGET // 2) // 1024
+        for m, splits in ((gate_rows - 1, 0), (gate_rows, 1)):
+            a, b = random_operands(m, 1, m, 3, 1024)
+            del split_pool[:]
+            got = batched_matmul(a, b)
+            assert len(split_pool) == splits
+            assert got.tobytes() == serial_kernel_product(a, b).tobytes()
+
+    def test_paper_residual_shape(self, split_pool):
+        a, b = random_operands(768, 1, 768, 6912, 196)
+        got = batched_matmul(a, b)
+        assert split_pool == [(1, 768, 196)]
+        assert got.tobytes() == serial_kernel_product(a, b).tobytes()
+
+    def test_single_cpu_runs_no_pool(self, monkeypatch):
+        import chromapad.tensor_ops as T
+
+        monkeypatch.setattr(T, "_THREADS", 1)
+        monkeypatch.setattr(T, "_pool", None)
+        a, b = random_operands(1, 1, 768, 8, 196)
+        got = batched_matmul(a, b)
+        assert T._pool is None
+        assert got.tobytes() == serial_kernel_product(a, b).tobytes()
+
+    def test_pool_created_once_under_contention(self, monkeypatch):
+        import concurrent.futures
+        import sys
+        import threading
+        import chromapad.tensor_ops as T
+
+        created = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_THREADS", 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            CountingPool)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def get_pool():
+            barrier.wait(timeout=30)
+            seen.append(T._split_pool())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rounds in range(1, 21):
+                monkeypatch.setattr(T, "_pool", None)
+                del seen[:]
+                threads = [threading.Thread(target=get_pool)
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == 8 and len(created) == rounds
+                assert all(pool is created[-1] for pool in seen)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in created:
+                pool.shutdown(wait=True)
+
+    def test_concurrent_forwards_match_serial_scores(self, split_pool,
+                                                     monkeypatch):
+        import threading
+        import chromapad.tensor_ops as T
+        from chromapad.colorspace import ColorImage, ColorSpace
+        from chromapad.model import ModelConfig, build_model, forward
+
+        # a 224-pixel desk model has products above the gate
+        model = build_model(ModelConfig.desk(input_size=224, seed=5))
+        rng = np.random.default_rng(5)
+        images = [ColorImage(width=224, height=224, space=ColorSpace.RGB,
+                             pixels=rng.integers(0, 256, (224, 224, 3),
+                                                 dtype=np.uint8))
+                  for _ in range(2)]
+        with monkeypatch.context() as serial:
+            serial.setattr(T, "_THREADS", 1)
+            expected = [np.float64(forward(model, img)[0]).tobytes()
+                        for img in images]
+        assert not split_pool
+        got = [[], []]
+
+        def score(i):
+            for _ in range(2):
+                got[i].append(np.float64(forward(model, images[i])[0])
+                              .tobytes())
+
+        threads = [threading.Thread(target=score, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert split_pool
+        assert got == [[expected[0]] * 2, [expected[1]] * 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_can_split(self, split_pool):
+        import time
+
+        a, b = random_operands(9, 1, 301, 5, 500)
+        expected = serial_kernel_product(a, b).tobytes()
+        assert batched_matmul(a, b).tobytes() == expected  # pool now running
+        assert split_pool
+        pid = os.fork()
+        if pid == 0:  # child: a split must not wait on the parent's threads
+            ok = False
+            try:
+                ok = batched_matmul(a, b).tobytes() == expected
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung on a split product")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
