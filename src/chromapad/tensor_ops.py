@@ -9,8 +9,9 @@ pure functions and never mutate their inputs.
 and `conv2d` runs every group as one batch entry. Batching never changes the
 order in which one output element's products are summed. A large product is
 split into contiguous shares of batch entries or output rows, one per CPU
-the process may run on; each share runs the same kernel on a thread pool,
-so every output element is still one thread's ascending-k sum.
+the process may run on; each share runs the same kernel, one on the
+calling thread and the rest on a thread pool, so every output element is
+still one thread's ascending-k sum.
 """
 
 from __future__ import annotations
@@ -55,19 +56,25 @@ def _matmul_numpy(a_t, b, out):
     # full output rows accumulate in place in `out`, so every ufunc call
     # sweeps one contiguous n-long inner axis; each product is formed by
     # spreading the a column over the block and scaling it by the b row,
-    # which numpy runs faster than the broadcast outer product
+    # which numpy runs faster than the broadcast outer product. The k views
+    # come from iterating over transposed views, and the ufuncs take `out`
+    # positionally: the loop holds the GIL as briefly as it can between
+    # ufunc calls, so the shares of a split product rarely wait on it
     batch, inner, m = a_t.shape
     n = b.shape[2]
     rows = max(1, min(m, _BLOCK_BUDGET // max(batch * n, 1)))
     buf = np.empty((batch, rows, n), np.float32)
+    b_rows = b[:, :, None, :].transpose(1, 0, 2, 3)
+    multiply, add = np.multiply, np.add
     for i0 in range(0, m, rows):
         acc = out[:, i0:i0 + rows]
         prod = buf[:, :acc.shape[1]]
         acc[...] = 0.0
-        for k in range(inner):
-            np.copyto(prod, a_t[:, k, i0:i0 + rows, None])
-            np.multiply(prod, b[:, k, None, :], out=prod)
-            np.add(acc, prod, out=acc)
+        a_cols = a_t[:, :, i0:i0 + rows, None].transpose(1, 0, 2, 3)
+        for a_col, b_row in zip(a_cols, b_rows):
+            prod[...] = a_col
+            multiply(prod, b_row, prod)
+            add(acc, prod, acc)
 
 
 def _matmul_loops(a_t, b, out):
@@ -110,7 +117,8 @@ def _split_pool():
             # imported here: importing chromapad starts no thread and does
             # not pay for concurrent.futures
             from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_THREADS,
+            # the calling thread runs one share itself
+            _pool = ThreadPoolExecutor(_THREADS - 1,
                                        thread_name_prefix="chromapad-matmul")
         return _pool
 
@@ -127,8 +135,9 @@ if hasattr(os, "register_at_fork"):
 
 def _matmul_split(kernel, a_t, b, out):
     # contiguous shares of batch entries, or of output rows when there are
-    # fewer entries than threads; the kernel never submits work itself, so
-    # a pool worker never waits on the pool
+    # fewer entries than threads; the caller runs the first share while the
+    # pool runs the rest, and the kernel never submits work itself, so a
+    # pool worker never waits on the pool
     batch, _, m = a_t.shape
     if batch >= _THREADS:
         step = -(-batch // _THREADS)
@@ -139,7 +148,9 @@ def _matmul_split(kernel, a_t, b, out):
         shares = [(a_t[:, :, i:i + step], b, out[:, i:i + step])
                   for i in range(0, m, step)]
     pool = _split_pool()
-    for future in [pool.submit(kernel, *share) for share in shares]:
+    futures = [pool.submit(kernel, *share) for share in shares[1:]]
+    kernel(*shares[0])
+    for future in futures:
         future.result()
 
 
