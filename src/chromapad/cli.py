@@ -18,7 +18,7 @@ import sys
 
 from .complexity import model_complexity
 from .errors import ChromapadError
-from .metrics import det_csv, evaluate_scores, read_scores_csv
+from .metrics import _APCER_CAPS, det_csv, evaluate_scores, read_scores_csv
 # not called here, but perfbench/tracing.py wraps these two at this module's
 # names, so they stay importable from it
 from .metrics import det_curve, write_det_csv  # noqa: F401
@@ -60,7 +60,8 @@ def _build_parser():
     p = sub.add_parser("eval", help="PAD metrics over a label,score CSV")
     p.add_argument("--scores", required=True, help="score CSV path")
     p.add_argument("--apcer", action="append", type=float,
-                   help="APCER operating point (repeatable; default 0.05 0.10)")
+                   help="APCER operating point (repeatable; default "
+                        f"{' '.join(map(str, _APCER_CAPS))})")
     p.add_argument("--det", help="write the DET sweep to this CSV path")
     p.add_argument("--out", help="output JSON path (default stdout)")
 
@@ -110,7 +111,7 @@ def _cmd_infer(args):
 def _cmd_eval(args):
     with open(args.scores, "r", encoding="utf-8") as fh:
         scores = read_scores_csv(fh.read())
-    alphas = tuple(args.apcer) if args.apcer else (0.05, 0.10)
+    alphas = tuple(args.apcer) if args.apcer else _APCER_CAPS
     report = evaluate_scores(scores, alphas)
     if args.det:
         with open(args.det, "w", encoding="utf-8", newline="") as fh:
@@ -148,8 +149,16 @@ def _cmd_ablate(args):
         raise ChromapadError("grid file must hold a JSON list of entries")
     entries = []
     for i, entry in enumerate(grid):
+        if not isinstance(entry, dict):
+            raise ChromapadError(f"grid entry {i} must be a JSON object, "
+                                 f"got {type(entry).__name__}")
         if "config" not in entry:
             raise ChromapadError(f"grid entry {i} has no 'config' object")
+        for key in ("scores", "bonafide_images", "attack_images"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ChromapadError(
+                    f"grid entry {i}: {key!r} must be a JSON string, "
+                    f"got {type(entry[key]).__name__}")
         cfg = ModelConfig.from_json_dict(entry["config"])
         if "scores" in entry:
             path = _resolve(entry["scores"], args.scores_dir)

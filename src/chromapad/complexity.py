@@ -124,9 +124,9 @@ def macs_window_attention(cfg, n_windows):
 
 def model_complexity(cfg: ModelConfig) -> ComplexityReport:
     """Walk the configured architecture and sum exact per-layer costs."""
-    cfg.validate()
     attn_cfg = cfg.attention_config
     d = cfg.embed_dim
+    fs = cfg.feature_size
     sizes = {spec.name: math.prod(spec.shape) for spec in tensor_layout(cfg)}
     layers = []
     weight_sizes = {}
@@ -148,7 +148,6 @@ def model_complexity(cfg: ModelConfig) -> ComplexityReport:
                                        size, size)
             add(f"{base}.pointwise", macs, params, f"{base}.pointwise_weight")
             c_in = blk.out_channels
-        fs = cfg.feature_size
         macs, params = macs_conv2d(c_in, d, 1, 1, fs, fs)
         base = f"branch.{space.value}"
         add(f"{base}.bottleneck", macs, params, f"{base}.bottleneck.weight")
@@ -158,7 +157,6 @@ def model_complexity(cfg: ModelConfig) -> ComplexityReport:
             add(f"{base}.attention", macs, params,
                 f"{base}.attention.qkv_weight", f"{base}.attention.out_weight")
 
-    fs = cfg.feature_size
     macs, params = macs_conv2d(d, d, 1, 1, fs, fs)
     add("fusion.mix", macs, params, "fusion.mix_weight")
     if cfg.residual_enabled:

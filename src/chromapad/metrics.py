@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import ConfigError, ScoreCsvError
 
 SCORE_CSV_HEADER = ("label", "score")
 DET_CSV_HEADER = ("threshold", "apcer", "bpcer")
+_APCER_CAPS = (0.05, 0.10)  # default operating points of every report
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
     return ScoreSet(bonafide=bona, attack=attack)
 
 
-def evaluate_scores(s: ScoreSet, alphas=(0.05, 0.10)):
+def evaluate_scores(s: ScoreSet, alphas=_APCER_CAPS):
     """EER, its threshold, and BPCER at each APCER cap, from one DET sweep."""
     sweep = _sweep(s)
     rate, tau = _operating_point(sweep)
@@ -174,7 +176,7 @@ def read_scores_csv(text: str) -> ScoreSet:
         except ValueError:
             raise ScoreCsvError(f"score is not a number: {raw!r}",
                                 line_no) from None
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             raise ScoreCsvError(f"score is not finite: {raw!r}", line_no)
         if label == "bonafide":
             bona.append(score)

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .blocks import (
 )
 from .colorspace import ColorImage, ColorSpace, convert, image_to_tensor, load_ppm
 from .errors import ConfigError, ShapeError, SpaceError, WeightFileError
-from .metrics import ScoreSet, _operating_point, _sweep
+from .metrics import _APCER_CAPS, ScoreSet, _operating_point, _sweep
 from .quant import (
     DEFAULT_POLICY,
     QuantParams,
@@ -67,20 +68,52 @@ class BackboneBlockSpec:
     stride: int = 1
 
 
-def _backbone_block(i, entry) -> BackboneBlockSpec:
-    """Backbone entry ``i`` of a config, as given or from a JSON object."""
-    if isinstance(entry, BackboneBlockSpec):
-        return entry
-    if not isinstance(entry, dict):
-        raise ConfigError(f"backbone entry {i} must be a JSON object, "
-                          f"got {type(entry).__name__}")
-    unknown = set(entry) - {f.name for f in fields(BackboneBlockSpec)}
-    if unknown:
+_SPACES = {space.value: space for space in ColorSpace}
+
+# declared field type -> (the one Python type accepted, its JSON name); exact
+# types, so True and 112.0 are no int and every accepted value saves back
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+    "tuple": (tuple, "an array"),
+}
+
+
+def _field_problems(obj, where=""):
+    """(field, problem) pairs of ``obj``'s fields against their declared
+    types; an int field must also be >= 1 (``seed`` >= 0), and each
+    dataclass entry of an array field is checked in turn."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        want, kind = _FIELD_TYPES[f.type]
+        low = 0 if f.name == "seed" else 1
+        if type(value) is not want:
+            yield f.name, (f"{where}{f.name} must be {kind}, "
+                           f"got {type(value).__name__}")
+        elif want is int and value < low:
+            yield f.name, f"{where}{f.name} must be >= {low}, got {value}"
+        elif want is tuple:
+            for i, item in enumerate(value):
+                if is_dataclass(item):
+                    for _, problem in _field_problems(
+                            item, f"{f.name} entry {i} "):
+                        yield f.name, problem
+
+
+def _from_json(cls, data, what):
+    """``cls`` built from the JSON object ``data``, called ``what`` in errors."""
+    if not isinstance(data, dict):
         raise ConfigError(
-            f"unknown fields in backbone entry {i}: {sorted(unknown)}")
-    if "out_channels" not in entry:
-        raise ConfigError(f"backbone entry {i} has no out_channels")
-    return BackboneBlockSpec(**entry)
+            f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown fields in {what}: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ConfigError(f"{what} has no {', '.join(missing)}")
+    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -105,18 +138,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        branches = []
-        for b in self.branches:
-            if not isinstance(b, ColorSpace):
-                try:
-                    b = ColorSpace(b)
-                except ValueError:
-                    pass  # validate() reports it
-            branches.append(b)
-        object.__setattr__(self, "branches", tuple(branches))
-        blocks = tuple(_backbone_block(i, b)
-                       for i, b in enumerate(self.backbone))
-        object.__setattr__(self, "backbone", blocks)
+        if isinstance(self.branches, (list, tuple)):
+            object.__setattr__(self, "branches", tuple(
+                _SPACES.get(b, b) if isinstance(b, str) else b
+                for b in self.branches))
+        if isinstance(self.backbone, (list, tuple)):
+            object.__setattr__(self, "backbone", tuple(
+                b if isinstance(b, BackboneBlockSpec)
+                else _from_json(BackboneBlockSpec, b, f"backbone entry {i}")
+                for i, b in enumerate(self.backbone)))
         self.validate()
 
     @classmethod
@@ -142,67 +172,46 @@ class ModelConfig:
         return cls(**defaults)
 
     def validate(self):
-        problems = []
-        if not self.branches:
-            problems.append("branches must not be empty")
-        seen = set()
-        for b in self.branches:
-            if not isinstance(b, ColorSpace):
-                problems.append(f"branch {b!r} is not a color space")
-            elif b in seen:
-                problems.append(f"branch {b.value} listed twice")
+        """Raise one ConfigError listing every problem of this config; a
+        check that reads a field the field rule rejected is skipped."""
+        found = list(_field_problems(self))
+        bad = {name for name, _ in found}
+        problems = [problem for _, problem in found]
+        if "branches" not in bad:
+            if not self.branches:
+                problems.append("branches must not be empty")
+            for i, b in enumerate(self.branches):
+                if not isinstance(b, ColorSpace):
+                    problems.append(f"branch {b!r} is not a color space")
+                elif b in self.branches[:i]:
+                    problems.append(f"branch {b.value} listed twice")
+        if not bad & {"embed_dim", "num_heads"} \
+                and self.embed_dim % self.num_heads:
+            problems.append(f"embed_dim {self.embed_dim} not divisible by "
+                            f"num_heads {self.num_heads}")
+        if not bad & {"input_size", "backbone"}:
+            # every stride divides the extent it meets iff their product
+            # divides input_size
+            stride = math.prod(blk.stride for blk in self.backbone)
+            if self.input_size % stride:
+                problems.append(
+                    f"input_size {self.input_size} not divisible by the "
+                    f"backbone's total stride {stride}")
             else:
-                seen.add(b)
-        if self.input_size < 1:
-            problems.append(f"input_size must be positive, got {self.input_size}")
-        if self.embed_dim < 1 or self.num_heads < 1:
-            problems.append("embed_dim and num_heads must be positive")
-        elif self.embed_dim % self.num_heads:
-            problems.append(
-                f"embed_dim {self.embed_dim} not divisible by "
-                f"num_heads {self.num_heads}"
-            )
-        if self.window < 1:
-            problems.append(f"window must be positive, got {self.window}")
-        if self.pool_factor < 1:
-            problems.append(
-                f"pool_factor must be positive, got {self.pool_factor}"
-            )
-        for i, blk in enumerate(self.backbone):
-            if blk.out_channels < 1:
-                problems.append(f"backbone block {i} has no output channels")
-            if blk.stride < 1:
-                problems.append(f"backbone block {i} stride must be positive")
-        size = self.input_size
-        for i, blk in enumerate(self.backbone):
-            if blk.stride > 1 and size % blk.stride:
-                problems.append(
-                    f"backbone block {i} stride {blk.stride} does not divide "
-                    f"extent {size}"
-                )
-                size = 0
-                break
-            size //= blk.stride
-        if size:
-            if self.window >= 1 and size % self.window:
-                problems.append(
-                    f"backbone output extent {size} not divisible by "
-                    f"window {self.window}"
-                )
-            if self.pool_factor >= 1 and size % self.pool_factor:
-                problems.append(
-                    f"backbone output extent {size} not divisible by "
-                    f"pool_factor {self.pool_factor}"
-                )
+                for name in ("window", "pool_factor"):
+                    step = getattr(self, name)
+                    if name not in bad and self.feature_size % step:
+                        problems.append(
+                            f"backbone output extent {self.feature_size} "
+                            f"not divisible by {name} {step}")
         if problems:
             raise ConfigError("; ".join(problems))
 
     @property
     def feature_size(self) -> int:
-        size = self.input_size
-        for blk in self.backbone:
-            size //= blk.stride
-        return size
+        """Backbone output extent: input_size over the product of strides."""
+        return self.input_size // math.prod(
+            blk.stride for blk in self.backbone)
 
     @property
     def attention_config(self) -> WindowAttentionConfig:
@@ -220,21 +229,15 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, data) -> "ModelConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"config must be a JSON object, got {type(data).__name__}"
-            )
-        kwargs = dict(data)
-        norm = kwargs.pop("input_normalization", INPUT_NORMALIZATION)
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if norm != INPUT_NORMALIZATION:
-            raise ConfigError(
-                f"unsupported input_normalization {norm!r}; this build uses "
-                f"{INPUT_NORMALIZATION!r}"
-            )
-        return cls(**kwargs)
+        if isinstance(data, dict):
+            data = dict(data)
+            norm = data.pop("input_normalization", INPUT_NORMALIZATION)
+            if norm != INPUT_NORMALIZATION:
+                raise ConfigError(
+                    f"unsupported input_normalization {norm!r}; this build "
+                    f"uses {INPUT_NORMALIZATION!r}"
+                )
+        return _from_json(cls, data, "config")
 
 
 def load_config(path) -> ModelConfig:
@@ -323,15 +326,11 @@ def build_model(cfg: ModelConfig) -> Model:
     With dynamic quantization enabled, the default-policy weight matrices
     are quantized immediately after initialization.
     """
-    cfg.validate()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     weights = {}
     for spec in tensor_layout(cfg):
         if spec.init == "uniform":
-            fan_in = 1
-            for extent in spec.shape[1:]:
-                fan_in *= extent
-            bound = 1.0 / math.sqrt(fan_in)
+            bound = 1.0 / math.sqrt(math.prod(spec.shape[1:]))
             weights[spec.name] = rng.uniform(
                 -bound, bound, spec.shape).astype(np.float32)
         elif spec.init == "ones":
@@ -601,26 +600,27 @@ class AblationRow:
     bpcer: dict  # alpha -> rate
 
 
-def ablate(entries, alphas=(0.05, 0.10)):
+def ablate(entries, alphas=_APCER_CAPS):
     """One row per (config, score set) pair, metrics from the score set."""
     entries = list(entries)
     if not entries:
         raise ConfigError("ablation grid is empty")
     rows = []
     for cfg, scores in entries:
-        cfg.validate()
         sweep = _sweep(scores)
         bpcer = {alpha: _operating_point(sweep, alpha)[0] for alpha in alphas}
         rows.append(AblationRow(config=cfg, bpcer=bpcer))
     return rows
 
 
-def ablation_csv(rows, alphas=(0.05, 0.10)) -> str:
+def ablation_csv(rows) -> str:
     """Render ablation rows as CSV.
 
     Toggle cells use the check mark / "x" convention; metric cells are
-    BPCER percentages with two decimals.
+    BPCER percentages with two decimals, one column per APCER cap of the
+    first row's ``bpcer``.
     """
+    alphas = list(rows[0].bpcer) if rows else []
     header = ["rgb", "hsv", "ycbcr", "bottleneck_attention", "residual_block",
               "dq"]
     header += [f"bpcer_at_apcer_{round(alpha * 100):d}pct" for alpha in alphas]

@@ -1,6 +1,7 @@
 """CLI contract tests: thin-wrapper equality, exit codes, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -300,6 +301,23 @@ class TestGmacs:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("attention_enabled", "false"), ("input_size", 16.0),
+    ])
+    def test_wrong_json_type_exits_2(self, workspace, capsys, field, value):
+        bad = workspace["dir"] / "typed.json"
+        data = workspace["cfg"].to_json_dict()
+        data[field] = value
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["gmacs", "--config", str(bad)]) == EXIT_DATA
+        assert field in capsys.readouterr().err
+        rc = main(["infer", "--config", str(bad),
+                   "--weights", str(workspace["weights"]),
+                   "--image", str(workspace["images"][0])])
+        assert rc == EXIT_DATA
+        assert field in capsys.readouterr().err
+
+
 class TestAblate:
     def make_grid(self, workspace, n_rows=2):
         entries = []
@@ -334,6 +352,49 @@ class TestAblate:
               "scores": "absent.csv"}]), encoding="utf-8")
         assert main(["ablate", "--grid", str(grid),
                      "--scores-dir", str(workspace["dir"])]) == EXIT_IO
+
+    @pytest.mark.parametrize("entry, message", [
+        ("row0.csv", "grid entry 1 must be a JSON object, got str"),
+        ({"scores": 7}, "grid entry 1: 'scores' must be a JSON string"),
+        ({"scores": None}, "grid entry 1: 'scores' must be a JSON string"),
+        ({"bonafide_images": ["bona"], "attack_images": "atk"},
+         "grid entry 1: 'bonafide_images' must be a JSON string"),
+        ({"bonafide_images": "bona", "attack_images": 7},
+         "grid entry 1: 'attack_images' must be a JSON string"),
+    ], ids=("string_entry", "int_scores", "null_scores", "list_bonafide",
+            "int_attack"))
+    def test_malformed_grid_entry_exits_2(self, workspace, capsys, entry,
+                                          message):
+        grid = self.make_grid(workspace)
+        entries = json.loads(grid.read_text(encoding="utf-8"))
+        if isinstance(entry, dict):
+            entry = {"config": workspace["cfg"].to_json_dict(), **entry}
+        grid.write_text(json.dumps([entries[0], entry]), encoding="utf-8")
+        rc = main(["ablate", "--grid", str(grid),
+                   "--scores-dir", str(workspace["dir"])])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    def test_scores_fd_zero_never_reads_stdin(self, workspace, capsys):
+        grid = workspace["dir"] / "grid.json"
+        grid.write_text(json.dumps(
+            [{"config": workspace["cfg"].to_json_dict(), "scores": 0}]),
+            encoding="utf-8")
+        text = workspace["scores"].read_bytes()
+        read_end, write_end = os.pipe()
+        os.write(write_end, text)
+        os.close(write_end)
+        saved = os.dup(0)
+        os.dup2(read_end, 0)
+        try:
+            rc = main(["ablate", "--grid", str(grid)])
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+        assert rc == EXIT_DATA
+        assert "grid entry 0: 'scores'" in capsys.readouterr().err
+        assert os.read(read_end, len(text) + 1) == text  # stdin untouched
+        os.close(read_end)
 
     def test_image_directory_mode(self, workspace, capsys):
         bona_dir = workspace["dir"] / "bona"

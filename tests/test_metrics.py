@@ -261,6 +261,13 @@ class TestCsv:
             read_scores_csv("label,score\nbonafide,abc\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_score_line_number(self, raw):
+        with pytest.raises(ScoreCsvError) as err:
+            read_scores_csv(f"label,score\nbonafide,0.5\nattack,{raw}\n")
+        assert err.value.line == 3
+        assert "not finite" in str(err.value)
+
     def test_missing_attack_rows(self):
         with pytest.raises(ScoreCsvError):
             read_scores_csv("label,score\nbonafide,0.5\n")

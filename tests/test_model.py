@@ -109,6 +109,44 @@ class TestConfig:
             ModelConfig.from_json_dict(data)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("path, value", [
+        (("input_size",), "112"),
+        (("input_size",), 112.0),
+        (("embed_dim",), "64"),
+        (("window",), True),
+        (("attention_enabled",), "false"),
+        (("dq_enabled",), 1),
+        (("preset",), 3),
+        (("seed",), "x"),
+        (("seed",), -1),
+        (("backbone", 1, "out_channels"), 16.0),
+        (("branches",), "RGB"),
+        (("backbone",), {"out_channels": 16, "stride": 2}),
+    ], ids=lambda v: repr(v))
+    def test_wrong_json_value_names_field(self, path, value):
+        data = ModelConfig.desk().to_json_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            ModelConfig.from_json_dict(data)
+        assert path[-1] in str(err.value)
+
+    def test_seed_zero_and_saved_configs_load_equal(self):
+        for cfg in (ModelConfig.desk(seed=0), ModelConfig.paper(seed=7),
+                    small_config(residual_enabled=False, preset="x")):
+            assert ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    def test_stride_product_must_divide_input(self):
+        with pytest.raises(ConfigError) as err:
+            small_config(backbone=(BackboneBlockSpec(4, 3),), window=1,
+                         pool_factor=1)
+        assert "stride 3" in str(err.value)
+        cfg = small_config(backbone=(BackboneBlockSpec(4, 1),
+                                     BackboneBlockSpec(8, 4)))
+        assert cfg.feature_size == 4
+
     def test_save_config_text_pinned(self, tmp_path):
         path = tmp_path / "desk.json"
         save_config(ModelConfig.desk(), path)
