@@ -167,8 +167,8 @@ def _cmd_ablate(args):
         elif "bonafide_images" in entry and "attack_images" in entry:
             bona_dir = _resolve(entry["bonafide_images"], args.scores_dir)
             atk_dir = _resolve(entry["attack_images"], args.scores_dir)
-            bona = sorted(glob.glob(f"{bona_dir}/*.ppm"))
-            atk = sorted(glob.glob(f"{atk_dir}/*.ppm"))
+            bona = sorted(glob.glob(f"{glob.escape(bona_dir)}/*.ppm"))
+            atk = sorted(glob.glob(f"{glob.escape(atk_dir)}/*.ppm"))
             if not bona or not atk:
                 raise ChromapadError(
                     f"grid entry {i}: image directories must contain .ppm files"

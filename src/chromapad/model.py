@@ -4,9 +4,9 @@ A model is a configuration plus a flat named weight set. Weights initialize
 deterministically from the config seed: weight matrices draw from a PCG64
 stream with fan-in scaled uniform ranges U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
 biases and the attention bias table start at zero, and normalization starts
-at identity. Draws happen in the documented layout order (branches in config
-order, then fusion, residual, classifier), so one (config, seed) pair always
-produces bit-identical weights.
+at identity. Draws follow `plan.layer_plan`, the one statement of the layout
+(branches in config order, then fusion, residual, classifier), so one
+(config, seed) pair always produces bit-identical weights.
 
 The weight file format: magic "CFPA", then little-endian u32 version (= 1)
 and u32 tensor count; per tensor a u32 name length, the UTF-8 name, a u8
@@ -24,6 +24,7 @@ import math
 import struct
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .blocks import (
 from .colorspace import ColorImage, ColorSpace, convert, image_to_tensor, load_ppm
 from .errors import ConfigError, ShapeError, SpaceError, WeightFileError
 from .metrics import _APCER_CAPS, ScoreSet, _operating_point, _sweep
+from .plan import layer_plan
 from .quant import (
     DEFAULT_POLICY,
     QuantParams,
@@ -251,81 +253,88 @@ def save_config(cfg: ModelConfig, path):
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class _TensorSpec:
-    name: str
-    shape: tuple
-    init: str  # "uniform" | "zeros" | "ones"
-
-
-def _bn_specs(prefix, channels):
-    return [
-        _TensorSpec(f"{prefix}.gamma", (channels,), "ones"),
-        _TensorSpec(f"{prefix}.beta", (channels,), "zeros"),
-        _TensorSpec(f"{prefix}.running_mean", (channels,), "zeros"),
-        _TensorSpec(f"{prefix}.running_var", (channels,), "ones"),
-    ]
-
-
 def tensor_layout(cfg: ModelConfig):
-    """Ordered tensor specs; also the documented weight-draw order."""
-    specs = []
-    d = cfg.embed_dim
-    for space in cfg.branches:
-        c_in = 3
-        for i, blk in enumerate(cfg.backbone):
-            base = f"branch.{space.value}.backbone.{i}"
-            specs.append(_TensorSpec(f"{base}.depthwise_weight",
-                                     (c_in, 1, 3, 3), "uniform"))
-            specs.extend(_bn_specs(f"{base}.bn_depthwise", c_in))
-            specs.append(_TensorSpec(f"{base}.pointwise_weight",
-                                     (blk.out_channels, c_in, 1, 1), "uniform"))
-            specs.extend(_bn_specs(f"{base}.bn_pointwise", blk.out_channels))
-            c_in = blk.out_channels
-        base = f"branch.{space.value}"
-        specs.append(_TensorSpec(f"{base}.bottleneck.weight",
-                                 (d, c_in, 1, 1), "uniform"))
-        specs.append(_TensorSpec(f"{base}.bottleneck.bias", (d,), "zeros"))
-        if cfg.attention_enabled:
-            table = (2 * cfg.window - 1) ** 2
-            specs.append(_TensorSpec(f"{base}.attention.qkv_weight",
-                                     (3 * d, d), "uniform"))
-            specs.append(_TensorSpec(f"{base}.attention.qkv_bias",
-                                     (3 * d,), "zeros"))
-            specs.append(_TensorSpec(f"{base}.attention.out_weight",
-                                     (d, d), "uniform"))
-            specs.append(_TensorSpec(f"{base}.attention.out_bias",
-                                     (d,), "zeros"))
-            specs.append(_TensorSpec(f"{base}.attention.rel_bias_table",
-                                     (cfg.num_heads, table), "zeros"))
-    specs.append(_TensorSpec("fusion.mix_weight", (d, d), "uniform"))
-    specs.append(_TensorSpec("fusion.mix_bias", (d,), "zeros"))
-    if cfg.residual_enabled:
-        specs.append(_TensorSpec("residual.conv1_weight", (d, d, 3, 3),
-                                 "uniform"))
-        specs.extend(_bn_specs("residual.bn1", d))
-        specs.append(_TensorSpec("residual.conv2_weight", (d, d, 3, 3),
-                                 "uniform"))
-        specs.extend(_bn_specs("residual.bn2", d))
-    specs.append(_TensorSpec("classifier.weight", (2, d), "uniform"))
-    specs.append(_TensorSpec("classifier.bias", (2,), "zeros"))
-    return specs
+    """Ordered tensor specs of the layer plan; also the weight-draw order."""
+    return [spec for layer in layer_plan(cfg).layers for spec in layer.specs]
 
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable configuration plus named weights (float or quantized)."""
+    """Configuration plus named weights, checked against the layer plan and
+    made run-ready once, when built: under dynamic quantization float
+    default-policy tensors quantize, then quantized tensors dequantize and
+    float ones are shared. The mapping and every array are then read-only,
+    so `forward` runs what `save_weights` saves."""
 
     config: ModelConfig
-    weights: dict = field(repr=False)
+    weights: dict = field(repr=False)  # read-only after construction
+    _stages: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        plan = layer_plan(self.config)
+        shapes = {s.name: s.shape for layer in plan.layers
+                  for s in layer.specs}
+        for name in shapes:
+            if name not in self.weights:
+                raise WeightFileError(
+                    f"missing tensor {name!r} for this config")
+        given = self.weights
+        if self.config.dq_enabled:
+            given, _ = quantize_model(given, DEFAULT_POLICY)
+        weights, ready = {}, {}
+        for name, value in given.items():
+            if not isinstance(value, QuantizedTensor):
+                value = np.asarray(value, np.float32)
+            weights[name] = arr = value
+            if name not in shapes:
+                raise WeightFileError(
+                    f"unexpected tensor {name!r} for this config")
+            if value.shape != shapes[name]:
+                raise WeightFileError(
+                    f"tensor {name!r} has shape {value.shape}, config "
+                    f"expects {shapes[name]}")
+            if isinstance(value, QuantizedTensor):
+                p = value.params
+                if not all(map(math.isfinite, (p.f_min, p.f_max, p.scale))):
+                    raise WeightFileError(f"tensor {name!r} has non-finite "
+                                          f"quantization parameters")
+                value.qdata.flags.writeable = False
+                arr = dequantize_f32(value)
+            if not np.isfinite(arr).all():
+                raise WeightFileError(f"tensor {name!r} holds non-finite "
+                                      f"values")
+            arr.flags.writeable = False
+            ready[name] = arr
+        object.__setattr__(self, "weights", MappingProxyType(weights))
+        object.__setattr__(self, "_stages",
+                           _stage_params(self.config, plan, ready))
+
+
+def _stage_params(cfg, plan, arrays):
+    """(branches, fusion, residual, classifier) run-ready parameters; each
+    is built positionally from its layers' tensors in spec order."""
+    def args(*layers):
+        out = []
+        for layer in layers:
+            a = [arrays[spec.name] for spec in layer.specs]
+            out += [a[0], BatchNormParams(*a[1:], BN_EPSILON)] \
+                if layer.norm else a
+        return out
+
+    branches = tuple((
+        b.space,
+        BackboneParams(tuple(BackboneBlockParams(*args(*pair), blk.stride)
+                             for pair, blk in zip(b.backbone, cfg.backbone))),
+        args(b.bottleneck),
+        AttentionParams(*args(*b.attention)) if b.attention else None,
+    ) for b in plan.branches)
+    residual = NestedResidualParams(*args(*plan.residual), cfg.pool_factor) \
+        if plan.residual else None
+    return branches, args(plan.fusion), residual, args(plan.classifier)
 
 
 def build_model(cfg: ModelConfig) -> Model:
-    """Deterministically initialize a model from the config seed.
-
-    With dynamic quantization enabled, the default-policy weight matrices
-    are quantized immediately after initialization.
-    """
+    """Deterministically initialize a model from the config seed."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     weights = {}
     for spec in tensor_layout(cfg):
@@ -337,55 +346,7 @@ def build_model(cfg: ModelConfig) -> Model:
             weights[spec.name] = np.ones(spec.shape, np.float32)
         else:
             weights[spec.name] = np.zeros(spec.shape, np.float32)
-    if cfg.dq_enabled:
-        weights, _ = quantize_model(weights, DEFAULT_POLICY)
     return Model(config=cfg, weights=weights)
-
-
-def _materialize(weights):
-    """Float32 view of the weight set, reconstructing quantized entries."""
-    out = {}
-    for name, value in weights.items():
-        if isinstance(value, QuantizedTensor):
-            out[name] = dequantize_f32(value)
-        else:
-            out[name] = np.asarray(value, np.float32)
-    return out
-
-
-def _bn_params(w, prefix):
-    return BatchNormParams(
-        gamma=w[f"{prefix}.gamma"],
-        beta=w[f"{prefix}.beta"],
-        running_mean=w[f"{prefix}.running_mean"],
-        running_var=w[f"{prefix}.running_var"],
-        epsilon=BN_EPSILON,
-    )
-
-
-def _branch_backbone(cfg, w, space):
-    blocks = []
-    for i, blk in enumerate(cfg.backbone):
-        base = f"branch.{space.value}.backbone.{i}"
-        blocks.append(BackboneBlockParams(
-            depthwise_weight=w[f"{base}.depthwise_weight"],
-            bn_depthwise=_bn_params(w, f"{base}.bn_depthwise"),
-            pointwise_weight=w[f"{base}.pointwise_weight"],
-            bn_pointwise=_bn_params(w, f"{base}.bn_pointwise"),
-            stride=blk.stride,
-        ))
-    return BackboneParams(blocks=tuple(blocks))
-
-
-def _branch_attention(cfg, w, space):
-    base = f"branch.{space.value}.attention"
-    return AttentionParams(
-        qkv_weight=w[f"{base}.qkv_weight"],
-        qkv_bias=w[f"{base}.qkv_bias"],
-        out_weight=w[f"{base}.out_weight"],
-        out_bias=w[f"{base}.out_bias"],
-        rel_bias_table=w[f"{base}.rel_bias_table"],
-    )
 
 
 def forward(model: Model, img: ColorImage, want_debug: bool = False):
@@ -398,50 +359,35 @@ def forward(model: Model, img: ColorImage, want_debug: bool = False):
             f"image is {img.height}x{img.width}, config wants "
             f"{cfg.input_size}x{cfg.input_size}"
         )
-    w = _materialize(model.weights)
-    attn_cfg = cfg.attention_config
+    branches, fusion, residual, classifier = model._stages
     debug = {"branches": {}} if want_debug else None
 
     branch_tokens = []
-    for space in cfg.branches:
+    for space, backbone, bottleneck, attention in branches:
         x = image_to_tensor(convert(img, space))
-        feats = backbone_forward(x, _branch_backbone(cfg, w, space))
-        base = f"branch.{space.value}"
-        tokens = bottleneck_project(
-            feats, w[f"{base}.bottleneck.weight"], w[f"{base}.bottleneck.bias"]
-        )
-        if cfg.attention_enabled:
-            tokens = multi_head_window_attention(
-                tokens, _branch_attention(cfg, w, space), attn_cfg
-            )
+        feats = backbone_forward(x, backbone)
+        tokens = bottleneck_project(feats, *bottleneck)
+        if attention is not None:
+            tokens = multi_head_window_attention(tokens, attention,
+                                                 cfg.attention_config)
         branch_tokens.append(tokens)
         if want_debug:
             debug["branches"][space.value] = {
                 "features": feats, "tokens": tokens,
             }
 
-    fused = fuse_branches(branch_tokens, w["fusion.mix_weight"],
-                          w["fusion.mix_bias"])
+    fused = fuse_branches(branch_tokens, *fusion)
     if want_debug:
         debug["fused"] = fused
 
-    if cfg.residual_enabled:
+    if residual is not None:
         chw = np.ascontiguousarray(np.transpose(fused, (2, 0, 1)))
-        params = NestedResidualParams(
-            conv1_weight=w["residual.conv1_weight"],
-            bn1=_bn_params(w, "residual.bn1"),
-            conv2_weight=w["residual.conv2_weight"],
-            bn2=_bn_params(w, "residual.bn2"),
-            pool_factor=cfg.pool_factor,
-        )
-        out, trace = nested_residual_forward(chw, params)
+        out, trace = nested_residual_forward(chw, residual)
         if want_debug:
             debug["residual_trace"] = trace
-        probs = classifier_head(out, w["classifier.weight"],
-                                w["classifier.bias"], layout="chw")
+        probs = classifier_head(out, *classifier, layout="chw")
     else:
-        probs = classifier_head(fused, w["classifier.weight"],
-                                w["classifier.bias"], layout="hwc")
+        probs = classifier_head(fused, *classifier, layout="hwc")
     if want_debug:
         debug["probabilities"] = probs
     return float(probs[0]), debug
@@ -564,28 +510,8 @@ def save_weights(model: Model, path):
 
 
 def load_weights(path, cfg: ModelConfig) -> Model:
-    """Load and validate weights against the config's expected layout.
-
-    With dynamic quantization enabled in the config, float default-policy
-    tensors quantize at load time; already-quantized tensors load as-is.
-    """
-    tensors = read_tensor_file(path)
-    expected = {spec.name: spec.shape for spec in tensor_layout(cfg)}
-    for name in expected:
-        if name not in tensors:
-            raise WeightFileError(f"missing tensor {name!r} for this config")
-    for name in tensors:
-        if name not in expected:
-            raise WeightFileError(f"unexpected tensor {name!r} for this config")
-        shape = tensors[name].shape
-        if shape != expected[name]:
-            raise WeightFileError(
-                f"tensor {name!r} has shape {shape}, config expects "
-                f"{expected[name]}"
-            )
-    if cfg.dq_enabled:
-        tensors, _ = quantize_model(tensors, DEFAULT_POLICY)
-    return Model(config=cfg, weights=tensors)
+    """Load weights and build the model of ``cfg`` from them."""
+    return Model(config=cfg, weights=read_tensor_file(path))
 
 
 # --- ablation table --------------------------------------------------------
@@ -600,7 +526,7 @@ class AblationRow:
     bpcer: dict  # alpha -> rate
 
 
-def ablate(entries, alphas=_APCER_CAPS):
+def ablate(entries):
     """One row per (config, score set) pair, metrics from the score set."""
     entries = list(entries)
     if not entries:
@@ -608,7 +534,8 @@ def ablate(entries, alphas=_APCER_CAPS):
     rows = []
     for cfg, scores in entries:
         sweep = _sweep(scores)
-        bpcer = {alpha: _operating_point(sweep, alpha)[0] for alpha in alphas}
+        bpcer = {alpha: _operating_point(sweep, alpha)[0]
+                 for alpha in _APCER_CAPS}
         rows.append(AblationRow(config=cfg, bpcer=bpcer))
     return rows
 

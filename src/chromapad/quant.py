@@ -215,7 +215,10 @@ def quantize_model(weights, policy=None):
         n = arr.size
         if match(name):
             matched_any = True
-            params = compute_quant_params(arr)
+            try:
+                params = compute_quant_params(arr)
+            except QuantizationError as exc:
+                raise QuantizationError(f"tensor {name!r}: {exc}") from None
             qt = quantize(arr, params)
             err = np.abs(dequantize(qt) - arr.astype(np.float64))
             rows.append(TensorQuantReport(

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,15 @@ from chromapad.metrics import (
     write_det_csv,
     write_scores_csv,
 )
-from chromapad.model import ModelConfig, build_model, save_config, save_weights
+from chromapad.model import (
+    ModelConfig,
+    build_model,
+    read_tensor_file,
+    save_config,
+    save_weights,
+    write_tensor_file,
+)
+from chromapad.quant import QuantizedTensor, quantize_model
 
 
 @pytest.fixture
@@ -115,6 +124,44 @@ class TestInfer:
                    "--out", str(workspace["dir"] / "out.cfpa")])
         assert rc == EXIT_DATA
         assert "byte offset 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dq, name, value", [
+        (False, "residual.bn1.running_var", np.nan),
+        (True, "fusion.mix_weight", np.inf),
+    ], ids=("float_payload", "float_payload_quantized_at_load"))
+    def test_non_finite_float_weight_exits_2(self, workspace, capsys, dq,
+                                             name, value):
+        tensors = read_tensor_file(workspace["weights"])
+        tensors[name][0] = value
+        bad = workspace["dir"] / "bad.cfpa"
+        write_tensor_file(tensors, bad)
+        config = workspace["dir"] / "run.json"
+        save_config(replace(workspace["cfg"], dq_enabled=dq), config)
+        rc = main(["infer", "--config", str(config), "--weights", str(bad),
+                   "--image", str(workspace["images"][0])])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert repr(name) in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("param, value", [
+        ("f_min", float("nan")), ("f_max", float("nan")),
+        ("scale", float("inf")),
+    ])
+    def test_non_finite_quant_params_exit_2(self, workspace, capsys, param,
+                                            value):
+        tensors, _ = quantize_model(read_tensor_file(workspace["weights"]))
+        name = "fusion.mix_weight"
+        qt = tensors[name]
+        tensors[name] = QuantizedTensor(
+            qdata=qt.qdata, params=replace(qt.params, **{param: value}))
+        bad = workspace["dir"] / "bad.cfpa"
+        write_tensor_file(tensors, bad)
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(bad),
+                   "--image", str(workspace["images"][0])])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert repr(name) in captured.err and captured.out == ""
 
     def test_repeated_run_byte_identical(self, workspace):
         out1 = workspace["dir"] / "a.csv"
@@ -396,25 +443,32 @@ class TestAblate:
         assert os.read(read_end, len(text) + 1) == text  # stdin untouched
         os.close(read_end)
 
-    def test_image_directory_mode(self, workspace, capsys):
-        bona_dir = workspace["dir"] / "bona"
-        atk_dir = workspace["dir"] / "atk"
-        bona_dir.mkdir()
-        atk_dir.mkdir()
+    def run_image_dirs(self, workspace, bona, atk):
+        """Run an image-directory grid entry over one image in each of the
+        directories ``bona`` and ``atk``; returns the exit code."""
         rng = np.random.default_rng(9)
-        for d, name in ((bona_dir, "a"), (atk_dir, "b")):
+        for d, name in ((bona, "a"), (atk, "b")):
+            (workspace["dir"] / d).mkdir()
             img = ColorImage(width=16, height=16, space=ColorSpace.RGB,
                              pixels=rng.integers(0, 256, (16, 16, 3),
                                                  dtype=np.uint8))
-            (d / f"{name}.ppm").write_bytes(to_ppm_bytes(img))
+            (workspace["dir"] / d / f"{name}.ppm").write_bytes(
+                to_ppm_bytes(img))
         grid = workspace["dir"] / "grid.json"
         grid.write_text(json.dumps(
             [{"config": workspace["cfg"].to_json_dict(),
-              "bonafide_images": "bona", "attack_images": "atk"}]),
+              "bonafide_images": bona, "attack_images": atk}]),
             encoding="utf-8")
-        rc = main(["ablate", "--grid", str(grid),
-                   "--scores-dir", str(workspace["dir"])])
-        assert rc == EXIT_OK
+        return main(["ablate", "--grid", str(grid),
+                     "--scores-dir", str(workspace["dir"])])
+
+    def test_image_directory_mode(self, workspace, capsys):
+        assert self.run_image_dirs(workspace, "bona", "atk") == EXIT_OK
+        assert len(capsys.readouterr().out.strip().split("\n")) == 2
+
+    def test_image_directory_names_are_not_patterns(self, workspace, capsys):
+        # "bona[1]" as a pattern would match only a directory "bona1"
+        assert self.run_image_dirs(workspace, "bona[1]", "atk[*]") == EXIT_OK
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
 
 

@@ -3,16 +3,25 @@
 import numpy as np
 import pytest
 
+from chromapad.attention import (
+    AttentionParams,
+    multi_head_window_attention,
+)
 from chromapad.blocks import (
+    BackboneBlockParams,
+    BackboneParams,
+    NestedResidualParams,
     backbone_forward,
     bottleneck_project,
     classifier_head,
     fuse_branches,
+    nested_residual_forward,
 )
 from chromapad.colorspace import ColorImage, ColorSpace, image_to_tensor
 from chromapad.errors import ConfigError, ShapeError, SpaceError, WeightFileError
 from chromapad.model import (
     BackboneBlockSpec,
+    Model,
     ModelConfig,
     ablate,
     ablation_csv,
@@ -27,9 +36,9 @@ from chromapad.model import (
     tensor_layout,
 )
 from chromapad.metrics import ScoreSet, synth_scores
-from chromapad.model import _branch_backbone, _materialize
 from chromapad.quant import QuantizedTensor, dequantize_f32
 from chromapad.colorspace import to_ppm_bytes
+from chromapad.tensor_ops import BatchNormParams
 
 
 def small_config(**overrides):
@@ -45,6 +54,28 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
+
+
+def hand_bn(w, prefix):
+    return BatchNormParams(gamma=w[f"{prefix}.gamma"], beta=w[f"{prefix}.beta"],
+                           running_mean=w[f"{prefix}.running_mean"],
+                           running_var=w[f"{prefix}.running_var"],
+                           epsilon=1e-5)
+
+
+def hand_backbone(cfg, w, space):
+    """The branch backbone assembled by name, independently of the plan."""
+    blocks = []
+    for i, blk in enumerate(cfg.backbone):
+        base = f"branch.{space.value}.backbone.{i}"
+        blocks.append(BackboneBlockParams(
+            depthwise_weight=w[f"{base}.depthwise_weight"],
+            bn_depthwise=hand_bn(w, f"{base}.bn_depthwise"),
+            pointwise_weight=w[f"{base}.pointwise_weight"],
+            bn_pointwise=hand_bn(w, f"{base}.bn_pointwise"),
+            stride=blk.stride,
+        ))
+    return BackboneParams(blocks=tuple(blocks))
 
 
 def random_image(size, seed=0):
@@ -225,10 +256,45 @@ class TestBuild:
 class TestForward:
     def test_zero_classifier_scores_half(self):
         m = build_model(small_config())
-        m.weights["classifier.weight"][:] = 0.0
-        m.weights["classifier.bias"][:] = 0.0
-        score, _ = forward(m, random_image(16))
+        weights = dict(m.weights)
+        weights["classifier.weight"] = np.zeros((2, 8), np.float32)
+        weights["classifier.bias"] = np.zeros(2, np.float32)
+        score, _ = forward(Model(m.config, weights), random_image(16))
         assert score == 0.5
+
+    def test_built_model_is_read_only(self):
+        cfg = small_config(dq_enabled=True)
+        m = build_model(cfg)
+        with pytest.raises(ValueError):
+            m.weights["residual.bn1.running_var"][0] = 2.0
+        with pytest.raises(ValueError):
+            m.weights["fusion.mix_weight"].qdata[0, 0] = 1
+        with pytest.raises(TypeError):
+            m.weights["classifier.bias"] = np.ones(2, np.float32)
+        with pytest.raises(TypeError):
+            del m.weights["classifier.bias"]
+        # float arrays are shared with the caller, not copied
+        weights = dict(m.weights)
+        assert Model(cfg, weights).weights["classifier.bias"] is \
+            weights["classifier.bias"]
+
+    def test_forward_runs_no_dequantization(self, monkeypatch):
+        import chromapad.model as M
+
+        calls = []
+
+        def counted(qt):
+            calls.append(qt)
+            return dequantize_f32(qt)
+
+        monkeypatch.setattr(M, "dequantize_f32", counted)
+        m = build_model(small_config(dq_enabled=True))
+        quantized = sum(isinstance(v, QuantizedTensor)
+                        for v in m.weights.values())
+        assert quantized > 0 and len(calls) == quantized
+        forward(m, random_image(16))
+        forward(m, random_image(16, seed=1))
+        assert len(calls) == quantized
 
     def test_score_in_unit_interval_and_deterministic(self):
         m = build_model(small_config())
@@ -263,9 +329,9 @@ class TestForward:
         img = random_image(16, seed=7)
         score, _ = forward(m, img)
         # hand-composed pipeline over the same weights
-        w = _materialize(m.weights)
+        w = m.weights
         x = image_to_tensor(img)
-        feats = backbone_forward(x, _branch_backbone(cfg, w, ColorSpace.RGB))
+        feats = backbone_forward(x, hand_backbone(cfg, w, ColorSpace.RGB))
         tokens = bottleneck_project(feats, w["branch.RGB.bottleneck.weight"],
                                     w["branch.RGB.bottleneck.bias"])
         fused = fuse_branches([tokens], w["fusion.mix_weight"],
@@ -275,32 +341,32 @@ class TestForward:
         assert score == float(probs[0])
 
     def test_single_branch_full_path_matches_hand_assembly(self):
-        from chromapad.attention import multi_head_window_attention
-        from chromapad.blocks import NestedResidualParams, \
-            nested_residual_forward
-        from chromapad.model import _branch_attention, _bn_params
-
         cfg = small_config(branches=(ColorSpace.RGB,))
         m = build_model(cfg)
         img = random_image(16, seed=17)
         score, _ = forward(m, img)
 
-        w = _materialize(m.weights)
+        w = m.weights
         x = image_to_tensor(img)
-        feats = backbone_forward(x, _branch_backbone(cfg, w, ColorSpace.RGB))
+        feats = backbone_forward(x, hand_backbone(cfg, w, ColorSpace.RGB))
         tokens = bottleneck_project(feats, w["branch.RGB.bottleneck.weight"],
                                     w["branch.RGB.bottleneck.bias"])
-        tokens = multi_head_window_attention(
-            tokens, _branch_attention(cfg, w, ColorSpace.RGB),
-            cfg.attention_config)
+        base = "branch.RGB.attention"
+        tokens = multi_head_window_attention(tokens, AttentionParams(
+            qkv_weight=w[f"{base}.qkv_weight"],
+            qkv_bias=w[f"{base}.qkv_bias"],
+            out_weight=w[f"{base}.out_weight"],
+            out_bias=w[f"{base}.out_bias"],
+            rel_bias_table=w[f"{base}.rel_bias_table"],
+        ), cfg.attention_config)
         fused = fuse_branches([tokens], w["fusion.mix_weight"],
                               w["fusion.mix_bias"])
         chw = np.ascontiguousarray(np.transpose(fused, (2, 0, 1)))
         out, _ = nested_residual_forward(chw, NestedResidualParams(
             conv1_weight=w["residual.conv1_weight"],
-            bn1=_bn_params(w, "residual.bn1"),
+            bn1=hand_bn(w, "residual.bn1"),
             conv2_weight=w["residual.conv2_weight"],
-            bn2=_bn_params(w, "residual.bn2"),
+            bn2=hand_bn(w, "residual.bn2"),
             pool_factor=cfg.pool_factor,
         ))
         probs = classifier_head(out, w["classifier.weight"],
@@ -324,10 +390,11 @@ class TestForward:
         score_q, _ = forward(quantized, img)
 
         plain = build_model(small_config())
+        weights = dict(plain.weights)
         for name, value in quantized.weights.items():
             if isinstance(value, QuantizedTensor):
-                plain.weights[name] = dequantize_f32(value)
-        score_f, _ = forward(plain, img)
+                weights[name] = dequantize_f32(value)
+        score_f, _ = forward(Model(plain.config, weights), img)
         assert score_q == score_f
 
     def test_debug_traces_present(self):
