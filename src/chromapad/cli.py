@@ -29,7 +29,9 @@ from .model import (
     forward_ppm,
     load_config,
     load_weights,
+    read_json,
     read_tensor_file,
+    read_text,
     scores_from_images,
     write_tensor_file,
 )
@@ -109,8 +111,7 @@ def _cmd_infer(args):
 
 
 def _cmd_eval(args):
-    with open(args.scores, "r", encoding="utf-8") as fh:
-        scores = read_scores_csv(fh.read())
+    scores = read_scores_csv(read_text(args.scores, "score CSV"))
     alphas = tuple(args.apcer) if args.apcer else _APCER_CAPS
     report = evaluate_scores(scores, alphas)
     if args.det:
@@ -143,8 +144,7 @@ def _resolve(path, base):
 
 
 def _cmd_ablate(args):
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
+    grid = read_json(args.grid, "grid")
     if not isinstance(grid, list):
         raise ChromapadError("grid file must hold a JSON list of entries")
     entries = []
@@ -162,8 +162,7 @@ def _cmd_ablate(args):
         cfg = ModelConfig.from_json_dict(entry["config"])
         if "scores" in entry:
             path = _resolve(entry["scores"], args.scores_dir)
-            with open(path, "r", encoding="utf-8") as fh:
-                scores = read_scores_csv(fh.read())
+            scores = read_scores_csv(read_text(path, "score CSV"))
         elif "bonafide_images" in entry and "attack_images" in entry:
             bona_dir = _resolve(entry["bonafide_images"], args.scores_dir)
             atk_dir = _resolve(entry["attack_images"], args.scores_dir)

@@ -85,7 +85,11 @@ def load_ppm(data: bytes) -> ColorImage:
         tok, off = next_token(name)
         if not tok.isdigit():
             raise PpmParseError(f"{name} is not a decimal integer: {tok!r}", off)
-        fields[name] = (int(tok), off)
+        try:
+            fields[name] = (int(tok), off)
+        except ValueError:  # past Python's integer string length limit
+            raise PpmParseError(f"{name} has too many digits ({len(tok)})",
+                                off) from None
 
     width, off = fields["width"]
     if width < 1:

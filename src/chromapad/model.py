@@ -44,7 +44,8 @@ from .blocks import (
     nested_residual_forward,
 )
 from .colorspace import ColorImage, ColorSpace, convert, image_to_tensor, load_ppm
-from .errors import ConfigError, ShapeError, SpaceError, WeightFileError
+from .errors import (ChromapadError, ConfigError, QuantizationError,
+                     ShapeError, SpaceError, WeightFileError)
 from .metrics import _APCER_CAPS, ScoreSet, _operating_point, _sweep
 from .plan import layer_plan
 from .quant import (
@@ -242,9 +243,34 @@ class ModelConfig:
         return _from_json(cls, data, "config")
 
 
+def read_text(path, what):
+    """The text of the UTF-8 file ``path``, newlines translated as a
+    text-mode read does; a byte that is not UTF-8 raises `ChromapadError`
+    naming the file, called ``what``, and the byte's offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChromapadError(f"{what} {path} is not UTF-8 at byte offset "
+                             f"{exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_json(path, what):
+    """The JSON value held in the UTF-8 file ``path``, called ``what``."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ChromapadError(f"{what} {path} nests too deeply to parse") \
+            from None
+
+
 def load_config(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ModelConfig.from_json_dict(json.load(fh))
+    return ModelConfig.from_json_dict(read_json(path, "config"))
 
 
 def save_config(cfg: ModelConfig, path):
@@ -317,8 +343,15 @@ def _stage_params(cfg, plan, arrays):
         out = []
         for layer in layers:
             a = [arrays[spec.name] for spec in layer.specs]
-            out += [a[0], BatchNormParams(*a[1:], BN_EPSILON)] \
-                if layer.norm else a
+            if layer.norm:
+                # shapes already match the plan, so only a negative
+                # running_var (the last spec) can fail the check
+                try:
+                    a = [a[0], BatchNormParams(*a[1:], BN_EPSILON)]
+                except ConfigError as exc:
+                    raise WeightFileError(
+                        f"tensor {layer.specs[-1].name!r}: {exc}") from None
+            out += a
         return out
 
     branches = tuple((
@@ -493,11 +526,14 @@ def read_tensor_file(path):
             raw = r.take(n, f"payload of {name!r}")
             f_min, f_max, scale, zero = r.unpack(
                 "<fffi", f"quant params of {name!r}")
+            try:
+                params = QuantParams(f_min=float(f_min), f_max=float(f_max),
+                                     scale=float(scale), zero_point=int(zero))
+            except QuantizationError as exc:
+                raise WeightFileError(f"tensor {name!r}: {exc}") from None
             tensors[name] = QuantizedTensor(
                 qdata=np.frombuffer(raw, "<i1").reshape(shape).copy(),
-                params=QuantParams(f_min=float(f_min), f_max=float(f_max),
-                                   scale=float(scale), zero_point=int(zero)),
-            )
+                params=params)
         else:
             raise WeightFileError(
                 f"tensor {name!r} has unknown dtype code {dtype}"

@@ -86,10 +86,9 @@ def compute_quant_params(f) -> QuantParams:
         raise QuantizationError("cannot quantize a tensor with non-finite values")
     f_min = float(arr.min())
     f_max = float(arr.max())
-    if f_max > f_min:
-        scale = float(np.float32((f_max - f_min) / 255.0))
-    else:
-        scale = 1.0
+    # a constant tensor, or a span too small for a nonzero float32 scale
+    # (a few subnormals wide), takes scale 1
+    scale = float(np.float32((f_max - f_min) / 255.0)) or 1.0
     zero_point = int(_round_half_away(-f_min / scale)) - 128
     return QuantParams(f_min=f_min, f_max=f_max, scale=scale,
                        zero_point=zero_point)

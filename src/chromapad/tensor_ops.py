@@ -10,8 +10,9 @@ and `conv2d` runs every group as one batch entry. Batching never changes the
 order in which one output element's products are summed. A large product is
 split into contiguous shares of batch entries or output rows, one per CPU
 the process may run on; each share runs the same kernel, one on the
-calling thread and the rest on a thread pool, so every output element is
-still one thread's ascending-k sum.
+calling thread and each other one on a thread that the call starts and
+joins before it returns, so every output element is still one thread's
+ascending-k sum. The module keeps no thread, pool or lock between calls.
 """
 
 from __future__ import annotations
@@ -105,39 +106,13 @@ _matmul_compiled = (numba.njit(cache=True, nogil=True)(_matmul_loops)
 # (whose many short ufunc calls would contend for the GIL) stay serial
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _split_pool():
-    """The shared worker pool, created on the first split."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: importing chromapad starts no thread and does
-            # not pay for concurrent.futures
-            from concurrent.futures import ThreadPoolExecutor
-            # the calling thread runs one share itself
-            _pool = ThreadPoolExecutor(_THREADS - 1,
-                                       thread_name_prefix="chromapad-matmul")
-        return _pool
-
-
-def _forget_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _matmul_split(kernel, a_t, b, out):
     # contiguous shares of batch entries, or of output rows when there are
-    # fewer entries than threads; the caller runs the first share while the
-    # pool runs the rest, and the kernel never submits work itself, so a
-    # pool worker never waits on the pool
+    # fewer entries than threads; the caller runs the first share and a
+    # thread of its own runs each other one. Every started thread is joined
+    # before this returns or raises, so none outlives the call
     batch, _, m = a_t.shape
     if batch >= _THREADS:
         step = -(-batch // _THREADS)
@@ -147,11 +122,27 @@ def _matmul_split(kernel, a_t, b, out):
         step = -(-m // _THREADS)
         shares = [(a_t[:, :, i:i + step], b, out[:, i:i + step])
                   for i in range(0, m, step)]
-    pool = _split_pool()
-    futures = [pool.submit(kernel, *share) for share in shares[1:]]
-    kernel(*shares[0])
-    for future in futures:
-        future.result()
+    errors = []
+
+    def run(*share):
+        try:
+            kernel(*share)
+        except Exception as exc:
+            errors.append(exc)
+
+    started = []
+    try:
+        for share in shares[1:]:
+            thread = threading.Thread(target=run, args=share,
+                                      name="chromapad-matmul")
+            thread.start()
+            started.append(thread)
+        kernel(*shares[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def batched_matmul(a, b) -> np.ndarray:

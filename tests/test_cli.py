@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,50 @@ class TestInfer:
         captured = capsys.readouterr()
         assert rc == EXIT_DATA
         assert repr(name) in captured.err and captured.out == ""
+
+    def infer_rejects(self, workspace, capsys, weights, what):
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(weights),
+                   "--image", str(workspace["images"][0])])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert what in captured.err and captured.out == ""
+
+    def test_negative_running_var_exits_2(self, workspace, capsys):
+        name = "residual.bn1.running_var"
+        tensors = read_tensor_file(workspace["weights"])
+        tensors[name][0] = -1.0
+        bad = workspace["dir"] / "bad.cfpa"
+        write_tensor_file(tensors, bad)
+        self.infer_rejects(workspace, capsys, bad, repr(name))
+
+    def test_inverted_quant_range_exits_2(self, workspace, capsys):
+        name = "fusion.mix_weight"
+        tensors, _ = quantize_model(read_tensor_file(workspace["weights"]))
+        p = tensors[name].params
+        good = workspace["dir"] / "good.cfpa"
+        write_tensor_file(tensors, good)
+        packed = struct.pack("<fffi", p.f_min, p.f_max, p.scale, p.zero_point)
+        data = good.read_bytes()
+        assert data.count(packed) == 1
+        bad = workspace["dir"] / "bad.cfpa"
+        bad.write_bytes(data.replace(packed, struct.pack(
+            "<fffi", p.f_max + 1, p.f_max, p.scale, p.zero_point)))
+        self.infer_rejects(workspace, capsys, bad, repr(name))
+        rc = main(["quantize", "--weights", str(bad),
+                   "--out", str(workspace["dir"] / "out.cfpa")])
+        assert rc == EXIT_DATA
+        assert repr(name) in capsys.readouterr().err
+
+    def test_oversized_ppm_header_integer_exits_2(self, workspace, capsys):
+        image = workspace["dir"] / "wide.ppm"
+        image.write_bytes(b"P6 " + b"9" * 5000 + b" 16 255\n")
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(workspace["weights"]),
+                   "--image", str(image)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert "width" in captured.err and "byte offset 3" in captured.err
 
     def test_repeated_run_byte_identical(self, workspace):
         out1 = workspace["dir"] / "a.csv"
@@ -470,6 +515,50 @@ class TestAblate:
         # "bona[1]" as a pattern would match only a directory "bona1"
         assert self.run_image_dirs(workspace, "bona[1]", "atk[*]") == EXIT_OK
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
+
+
+class TestTextInputs:
+    """A config, grid or score CSV that cannot be read as text exits 2
+    naming the file."""
+
+    def run(self, workspace, kind, data):
+        path = workspace["dir"] / f"input.{kind}"
+        path.write_bytes(data)
+        flag = {"config": ["gmacs", "--config"], "grid": ["ablate", "--grid"],
+                "scores": ["eval", "--scores"]}[kind]
+        return path, main(flag + [str(path)])
+
+    def valid_bytes(self, workspace, kind):
+        if kind == "grid":
+            return json.dumps([{"config": workspace["cfg"].to_json_dict(),
+                                "scores": str(workspace["scores"])}]).encode()
+        return workspace[kind].read_bytes()
+
+    @pytest.mark.parametrize("kind", ["config", "grid", "scores"])
+    def test_non_utf8_byte_exits_2_with_offset(self, workspace, capsys, kind):
+        data = self.valid_bytes(workspace, kind)
+        path, rc = self.run(workspace, kind, data[:5] + b"\xff" + data[5:])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert str(path) in err and "byte offset 5" in err
+
+    @pytest.mark.parametrize("kind", ["config", "grid"])
+    def test_deep_nesting_exits_2(self, workspace, capsys, kind):
+        path, rc = self.run(workspace, kind, b"[" * 100_000)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert str(path) in err and "nests too deeply" in err
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=("crlf", "cr"))
+    def test_score_csv_newlines_read_as_text_mode(self, workspace, capsys,
+                                                  newline):
+        assert main(["eval", "--scores", str(workspace["scores"])]) == EXIT_OK
+        want = capsys.readouterr().out
+        text = workspace["scores"].read_text(encoding="utf-8")
+        _, rc = self.run(workspace, "scores",
+                         text.replace("\n", newline).encode())
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == want
 
 
 class TestUsage:

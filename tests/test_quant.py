@@ -125,6 +125,14 @@ class TestRoundTrip:
             dequantize(qt).astype(np.float32).tobytes()
 
 
+def test_subnormal_span_round_trips():
+    # (1e-45 - 0) / 255 rounds to a zero float32 scale
+    f = np.array([0.0, 1e-45], np.float32)
+    p = compute_quant_params(f)
+    assert p.scale == 1.0
+    assert np.abs(dequantize(quantize(f, p)) - f).max() <= p.f_max - p.f_min
+
+
 @settings(max_examples=60)
 @given(st.lists(st.floats(-1e3, 1e3, width=32), min_size=1, max_size=128),
        st.floats(0.25, 4.0))

@@ -412,14 +412,12 @@ def test_compiled_and_numpy_matmul_paths_identical():
 
 
 @pytest.fixture(params=[2, 3], ids=("2_threads", "3_threads"))
-def split_pool(request, monkeypatch):
-    """A 2- or 3-worker split pool in place of the host's, so splitting is
-    exercised on any host; yields a list that records each split's shape."""
-    import concurrent.futures
+def split_threads(request, monkeypatch):
+    """Splitting across 2 or 3 threads in place of the host's CPU count, so
+    it is exercised on any host; the value is a list that records each
+    split's shape."""
     import chromapad.tensor_ops as T
 
-    threads = request.param
-    pool = concurrent.futures.ThreadPoolExecutor(threads)
     splits = []
     real_split = T._matmul_split
 
@@ -427,13 +425,9 @@ def split_pool(request, monkeypatch):
         splits.append(out.shape)
         real_split(kernel, a_t, b, out)
 
-    monkeypatch.setattr(T, "_THREADS", threads)
-    monkeypatch.setattr(T, "_pool", pool)
+    monkeypatch.setattr(T, "_THREADS", request.param)
     monkeypatch.setattr(T, "_matmul_split", recording_split)
-    try:
-        yield splits
-    finally:
-        pool.shutdown(wait=True)
+    return splits
 
 
 def serial_kernel_product(a, b):
@@ -457,85 +451,111 @@ class TestSplitProducts:
     # (301 = 151 + 150 or 101 + 101 + 99)
     @pytest.mark.parametrize("shape", [(5, 40, 4, 800), (1, 301, 5, 500),
                                        (2, 97, 3, 800)])
-    def test_split_is_bit_identical_to_serial_kernel(self, split_pool,
+    def test_split_is_bit_identical_to_serial_kernel(self, split_threads,
                                                      shape):
         a, b = random_operands(31, *shape)
         got = batched_matmul(a, b)
-        assert split_pool == [got.shape]
+        assert split_threads == [got.shape]
         assert got.tobytes() == serial_kernel_product(a, b).tobytes()
 
-    def test_gate_is_accumulator_size(self, split_pool):
+    def test_gate_is_accumulator_size(self, split_threads):
         import chromapad.tensor_ops as T
 
         # m * n equals the gate exactly at m = 48 * threads, n = 1024
         gate_rows = T._THREADS * (T._BLOCK_BUDGET // 2) // 1024
         for m, splits in ((gate_rows - 1, 0), (gate_rows, 1)):
             a, b = random_operands(m, 1, m, 3, 1024)
-            del split_pool[:]
+            del split_threads[:]
             got = batched_matmul(a, b)
-            assert len(split_pool) == splits
+            assert len(split_threads) == splits
             assert got.tobytes() == serial_kernel_product(a, b).tobytes()
 
-    def test_paper_residual_shape(self, split_pool):
+    def test_paper_residual_shape(self, split_threads):
         a, b = random_operands(768, 1, 768, 6912, 196)
         got = batched_matmul(a, b)
-        assert split_pool == [(1, 768, 196)]
+        assert split_threads == [(1, 768, 196)]
         assert got.tobytes() == serial_kernel_product(a, b).tobytes()
 
-    def test_single_cpu_runs_no_pool(self, monkeypatch):
-        import chromapad.tensor_ops as T
-
-        monkeypatch.setattr(T, "_THREADS", 1)
-        monkeypatch.setattr(T, "_pool", None)
-        a, b = random_operands(1, 1, 768, 8, 196)
-        got = batched_matmul(a, b)
-        assert T._pool is None
-        assert got.tobytes() == serial_kernel_product(a, b).tobytes()
-
-    def test_pool_created_once_under_contention(self, monkeypatch):
-        import concurrent.futures
-        import sys
+    def test_single_cpu_starts_no_thread(self, monkeypatch):
         import threading
         import chromapad.tensor_ops as T
 
-        created = []
+        monkeypatch.setattr(T, "_THREADS", 1)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread))
+        a, b = random_operands(1, 1, 768, 8, 196)
+        got = batched_matmul(a, b)
+        assert started == []
+        assert got.tobytes() == serial_kernel_product(a, b).tobytes()
 
-        class CountingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                created.append(self)
-                super().__init__(*args, **kwargs)
+    def test_split_leaves_no_thread_running(self, split_threads):
+        import threading
 
-        monkeypatch.setattr(T, "_THREADS", 3)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            CountingPool)
+        a, b = random_operands(4, 1, 301, 5, 500)
+        before = threading.active_count()
+        got = batched_matmul(a, b)
+        assert split_threads == [got.shape]
+        assert threading.active_count() == before
+
+    def test_failing_share_raises_after_every_thread_ends(
+            self, split_threads, monkeypatch):
+        import threading
+        import chromapad.tensor_ops as T
+
+        class ShareFailure(Exception):
+            pass
+
+        real_kernel = T._matmul_compiled or T._matmul_numpy
+        ran_on = []
+
+        def kernel(a_t, b, out):
+            ran_on.append(threading.current_thread())
+            # first output row of this share within the whole product
+            start = (out.ctypes.data - out.base.ctypes.data) // out.strides[1]
+            if start == -(-out.base.shape[1] // T._THREADS):
+                raise ShareFailure(start)
+            real_kernel(a_t, b, out)
+
+        monkeypatch.setattr(T, "_matmul_compiled", None)
+        monkeypatch.setattr(T, "_matmul_numpy", kernel)
+        a, b = random_operands(6, 1, 301, 5, 500)
+        with pytest.raises(ShareFailure):
+            batched_matmul(a, b)
+        assert len(ran_on) == T._THREADS
+        assert not any(t.is_alive() for t in ran_on
+                       if t is not threading.current_thread())
+
+    def test_concurrent_splits_match_serial_kernel(self, split_threads):
+        import sys
+        import threading
+
+        operands = [random_operands(40 + i, 1, 301, 5, 500) for i in range(8)]
+        expected = [serial_kernel_product(a, b).tobytes()
+                    for a, b in operands]
         barrier = threading.Barrier(8)
-        seen = []
+        got = [None] * 8
 
-        def get_pool():
+        def split(i):
             barrier.wait(timeout=30)
-            seen.append(T._split_pool())
+            got[i] = batched_matmul(*operands[i]).tobytes()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for rounds in range(1, 21):
-                monkeypatch.setattr(T, "_pool", None)
-                del seen[:]
-                threads = [threading.Thread(target=get_pool)
-                           for _ in range(8)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                assert not any(t.is_alive() for t in threads)
-                assert len(seen) == 8 and len(created) == rounds
-                assert all(pool is created[-1] for pool in seen)
+            threads = [threading.Thread(target=split, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            for pool in created:
-                pool.shutdown(wait=True)
+        assert not any(t.is_alive() for t in threads)
+        assert len(split_threads) == 8
+        assert got == expected
 
-    def test_concurrent_forwards_match_serial_scores(self, split_pool,
+    def test_concurrent_forwards_match_serial_scores(self, split_threads,
                                                      monkeypatch):
         import threading
         import chromapad.tensor_ops as T
@@ -553,7 +573,7 @@ class TestSplitProducts:
             serial.setattr(T, "_THREADS", 1)
             expected = [np.float64(forward(model, img)[0]).tobytes()
                         for img in images]
-        assert not split_pool
+        assert not split_threads
         got = [[], []]
 
         def score(i):
@@ -568,18 +588,18 @@ class TestSplitProducts:
         for t in threads:
             t.join(timeout=120)
         assert not any(t.is_alive() for t in threads)
-        assert split_pool
+        assert split_threads
         assert got == [[expected[0]] * 2, [expected[1]] * 2]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_forked_child_can_split(self, split_pool):
+    def test_forked_child_can_split(self, split_threads):
         import time
 
         a, b = random_operands(9, 1, 301, 5, 500)
         expected = serial_kernel_product(a, b).tobytes()
-        assert batched_matmul(a, b).tobytes() == expected  # pool now running
-        assert split_pool
+        assert batched_matmul(a, b).tobytes() == expected
+        assert split_threads
         pid = os.fork()
         if pid == 0:  # child: a split must not wait on the parent's threads
             ok = False
