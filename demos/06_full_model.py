@@ -2,12 +2,15 @@
 
 The pipeline per enabled branch: color conversion -> depthwise-separable
 backbone -> 1x1 bottleneck into token layout -> window attention; branches
-fuse by elementwise addition plus a pointwise mix, pass through the nested
-residual block, and a softmax head yields the bona fide probability.
+fuse by elementwise addition plus a pointwise mix (a 1x1 convolution into a
+channel-major map), pass through the nested residual block, and a softmax
+head yields the bona fide probability.
 """
 
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +46,9 @@ print(f"bona fide probability: {score:.6f} "
 print("probabilities sum:", float(debug["probabilities"].sum()))
 
 # weight files round-trip bit-exactly (magic CFPA, little-endian, sorted)
-save_weights(model, "/tmp/demo_model.cfpa")
-again = load_weights("/tmp/demo_model.cfpa", cfg)
+with tempfile.TemporaryDirectory() as tmp:
+    save_weights(model, Path(tmp) / "demo_model.cfpa")
+    again = load_weights(Path(tmp) / "demo_model.cfpa", cfg)
 print("save -> load bit-identical:",
       all(again.weights[n].tobytes() == model.weights[n].tobytes()
           for n in model.weights))

@@ -2,9 +2,10 @@
 
 A branch backbone is a stack of depthwise-separable blocks (a pluggable,
 simplified feature extractor), followed by a 1x1 bottleneck projection into
-token layout. Branch features fuse by elementwise addition plus a pointwise
-channel mix. The nested residual block transforms, downsamples, upsamples,
-and merges back through a residual connection; its forward pass returns a
+(H, W, d) token layout. Branch token maps fuse by elementwise addition plus
+a 1x1 convolution into a (d, H, W) channel map, the layout of every later
+block. The nested residual block transforms, downsamples, upsamples, and
+merges back through a residual connection; its forward pass returns a
 trace of every intermediate so the merge identity is directly testable.
 """
 
@@ -98,40 +99,30 @@ def bottleneck_project(features, weight, bias=None) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(projected, (1, 2, 0)))
 
 
-def mix_tokens(tokens, weight, bias=None) -> np.ndarray:
-    """Pointwise channel mix of a (H, W, d) token map.
-
-    Equivalent to a 1x1 convolution; implemented as a per-token affine map
-    with the same ascending accumulation order as `conv2d`.
-    """
-    tokens = np.asarray(tokens, np.float32)
-    if tokens.ndim != 3:
-        raise ShapeError(f"token map must be (H, W, d), got {tokens.shape}")
-    h, w, d = tokens.shape
-    weight = np.asarray(weight, np.float32)
-    if weight.shape != (d, d):
-        raise ShapeError(f"mix weight shape {weight.shape}, expected ({d}, {d})")
-    mixed = matmul(tokens.reshape(h * w, d), np.ascontiguousarray(weight.T))
-    if bias is not None:
-        mixed = mixed + np.asarray(bias, np.float32)
-    return mixed.reshape(h, w, d)
-
-
 def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
-    """Elementwise-sum branch token maps, then mix channels pointwise.
+    """Elementwise-sum (H, W, d) branch token maps, then mix channels.
 
     The per-element addends are sorted by value before the ascending fold,
     so the result is bit-identical under any permutation of the branches.
+    The mix is a 1x1 convolution with the (d, d) weight; the result is the
+    (d, H, W) channel map.
     """
     branches = [np.asarray(b, np.float32) for b in branches]
     if not branches:
         raise ShapeError("fuse_branches needs at least one branch")
     shape = branches[0].shape
+    if len(shape) != 3:
+        raise ShapeError(f"branch token maps must be (H, W, d), got {shape}")
     for i, b in enumerate(branches[1:], start=1):
         if b.shape != shape:
             raise ShapeError(
                 f"branch 0 has shape {shape} but branch {i} has {b.shape}"
             )
+    d = shape[2]
+    mix_weight = np.asarray(mix_weight, np.float32)
+    if mix_weight.shape != (d, d):
+        raise ShapeError(
+            f"mix weight shape {mix_weight.shape}, expected ({d}, {d})")
     if len(branches) == 1:
         total = branches[0]
     else:
@@ -139,7 +130,8 @@ def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
         total = stacked[0]
         for i in range(1, len(branches)):
             total = total + stacked[i]
-    return mix_tokens(total, mix_weight, mix_bias)
+    return conv2d(np.transpose(total, (2, 0, 1)),
+                  mix_weight.reshape(d, d, 1, 1), bias=mix_bias)
 
 
 @dataclass(frozen=True)
@@ -207,22 +199,16 @@ def nested_residual_forward(x, params: NestedResidualParams):
     return output, trace
 
 
-def classifier_head(features, weight, bias=None, layout="hwc") -> np.ndarray:
-    """Global average pool, affine map to 2 logits, softmax.
+def classifier_head(features, weight, bias=None) -> np.ndarray:
+    """Global average pool of a (C, H, W) map, affine map to 2 logits, softmax.
 
-    ``layout`` is "hwc" for (H, W, d) token maps or "chw" for (C, H, W)
-    channel maps. Index 0 of the result is the bona fide probability and
-    index 1 the attack probability.
+    Index 0 of the result is the bona fide probability and index 1 the
+    attack probability.
     """
     features = np.asarray(features, np.float32)
     if features.ndim != 3:
-        raise ShapeError(f"features must be rank 3, got {features.shape}")
-    if layout == "hwc":
-        flat = features.reshape(-1, features.shape[2])
-    elif layout == "chw":
-        flat = features.reshape(features.shape[0], -1).T
-    else:
-        raise ConfigError(f"layout must be 'hwc' or 'chw', got {layout!r}")
+        raise ShapeError(f"features must be (C, H, W), got {features.shape}")
+    flat = features.reshape(features.shape[0], -1).T
     # ascending-order mean per channel, in double precision
     pooled = np.cumsum(flat.astype(np.float64), axis=0)[-1] / flat.shape[0]
     pooled = pooled.astype(np.float32)

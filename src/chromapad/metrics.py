@@ -155,6 +155,13 @@ def read_scores_csv(text: str) -> ScoreSet:
     """Parse a ``label,score`` CSV with labels bonafide/attack."""
     reader = csv.reader(io.StringIO(text))
     try:
+        return _read_score_rows(reader)
+    except csv.Error as exc:
+        raise ScoreCsvError(str(exc), reader.line_num) from None
+
+
+def _read_score_rows(reader) -> ScoreSet:
+    try:
         header = next(reader)
     except StopIteration:
         raise ScoreCsvError("empty score file", 1) from None

@@ -414,13 +414,10 @@ def forward(model: Model, img: ColorImage, want_debug: bool = False):
         debug["fused"] = fused
 
     if residual is not None:
-        chw = np.ascontiguousarray(np.transpose(fused, (2, 0, 1)))
-        out, trace = nested_residual_forward(chw, residual)
+        fused, trace = nested_residual_forward(fused, residual)
         if want_debug:
             debug["residual_trace"] = trace
-        probs = classifier_head(out, *classifier, layout="chw")
-    else:
-        probs = classifier_head(fused, *classifier, layout="hwc")
+    probs = classifier_head(fused, *classifier)
     if want_debug:
         debug["probabilities"] = probs
     return float(probs[0]), debug
@@ -584,9 +581,15 @@ def ablation_csv(rows) -> str:
     first row's ``bpcer``.
     """
     alphas = list(rows[0].bpcer) if rows else []
+    columns = {}
+    for alpha in alphas:
+        name = f"bpcer_at_apcer_{round(alpha * 100):d}pct"
+        if name in columns:
+            raise ConfigError(f"APCER caps {columns[name]} and {alpha} both "
+                              f"render as column {name}")
+        columns[name] = alpha
     header = ["rgb", "hsv", "ycbcr", "bottleneck_attention", "residual_block",
-              "dq"]
-    header += [f"bpcer_at_apcer_{round(alpha * 100):d}pct" for alpha in alphas]
+              "dq", *columns]
     lines = [",".join(header)]
     for row in rows:
         cfg = row.config

@@ -14,16 +14,16 @@ from chromapad.blocks import (
     bottleneck_project,
     classifier_head,
     fuse_branches,
-    mix_tokens,
     nested_residual_forward,
 )
-from chromapad.errors import ConfigError, ShapeError
+from chromapad.errors import ShapeError
 from chromapad.tensor_ops import (
     BatchNormParams,
     avg_pool2d,
     batch_norm,
     conv2d,
     elementwise_add,
+    matmul,
     relu,
     upsample_nearest,
 )
@@ -130,7 +130,8 @@ class TestFusion:
     def test_single_branch_identity_mix(self):
         t = np.random.default_rng(7).standard_normal((2, 2, 3)).astype(np.float32)
         eye = np.eye(3, dtype=np.float32)
-        assert np.allclose(fuse_branches([t], eye), t, atol=1e-6)
+        assert np.allclose(fuse_branches([t], eye), np.transpose(t, (2, 0, 1)),
+                           atol=1e-6)
 
     def test_opposite_branches_cancel(self):
         rng = np.random.default_rng(8)
@@ -161,14 +162,30 @@ class TestFusion:
             fuse_branches([], np.eye(3, dtype=np.float32))
 
     def test_mix_matches_pointwise_conv(self):
+        # the channel-major map is the transposed per-token affine map
         rng = np.random.default_rng(10)
-        t = rng.standard_normal((4, 4, 3)).astype(np.float32)
+        branches = [rng.standard_normal((4, 4, 3)).astype(np.float32)
+                    for _ in range(2)]
         w = rng.standard_normal((3, 3)).astype(np.float32)
         b = rng.standard_normal(3).astype(np.float32)
-        got = mix_tokens(t, w, b)
-        chw = np.ascontiguousarray(np.transpose(t, (2, 0, 1)))
-        want = conv2d(chw, w.reshape(3, 3, 1, 1), bias=b)
-        assert got.tobytes() == np.transpose(want, (1, 2, 0)).tobytes()
+        got = fuse_branches(branches, w, b)
+        total = np.sort(np.stack(branches), axis=0)
+        total = total[0] + total[1]
+        want = matmul(total.reshape(-1, 3), np.ascontiguousarray(w.T)) + b
+        assert got.shape == (3, 4, 4)
+        assert got.tobytes() == np.ascontiguousarray(
+            want.reshape(4, 4, 3).transpose(2, 0, 1)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (3, 3, 1, 1)])
+    def test_mix_weight_shape_validated(self, shape):
+        with pytest.raises(ShapeError, match="mix weight"):
+            fuse_branches([np.zeros((2, 2, 3), np.float32)],
+                          np.zeros(shape, np.float32))
+
+    def test_branch_rank_validated(self):
+        with pytest.raises(ShapeError):
+            fuse_branches([np.zeros((2, 2), np.float32)],
+                          np.eye(2, dtype=np.float32))
 
 
 class TestNestedResidual:
@@ -233,14 +250,14 @@ class TestNestedResidual:
 
 class TestClassifier:
     def test_zero_weights_give_even_split(self):
-        feats = np.random.default_rng(16).standard_normal((3, 3, 4)) \
+        feats = np.random.default_rng(16).standard_normal((4, 3, 3)) \
             .astype(np.float32)
         probs = classifier_head(feats, np.zeros((2, 4), np.float32))
         assert probs[0] == np.float32(0.5) and probs[1] == np.float32(0.5)
 
     def test_log3_logits(self):
         # single spatial cell lets the weights place the logits directly
-        feats = np.ones((1, 1, 2), np.float32)
+        feats = np.ones((2, 1, 1), np.float32)
         weight = np.array([[math.log(3.0), 0.0], [0.0, 0.0]], np.float32)
         probs = classifier_head(feats, weight)
         assert abs(float(probs[0]) - 0.75) < 1e-6
@@ -249,28 +266,14 @@ class TestClassifier:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            feats = rng.standard_normal((4, 4, 6)).astype(np.float32) * 10
+            feats = rng.standard_normal((6, 4, 4)).astype(np.float32) * 10
             w = rng.standard_normal((2, 6)).astype(np.float32)
             b = rng.standard_normal(2).astype(np.float32)
             probs = classifier_head(feats, w, b)
             assert probs.min() >= 0.0
             assert abs(float(probs.astype(np.float64).sum()) - 1.0) < 1e-6
 
-    def test_channel_layout(self):
-        rng = np.random.default_rng(18)
-        tokens = rng.standard_normal((3, 5, 4)).astype(np.float32)
-        chw = np.ascontiguousarray(np.transpose(tokens, (2, 0, 1)))
-        w = rng.standard_normal((2, 4)).astype(np.float32)
-        hwc = classifier_head(tokens, w, layout="hwc")
-        from_chw = classifier_head(chw, w, layout="chw")
-        assert np.allclose(hwc, from_chw, atol=1e-6)
-
-    def test_bad_layout_rejected(self):
-        with pytest.raises(ConfigError):
-            classifier_head(np.zeros((1, 1, 2), np.float32),
-                            np.zeros((2, 2), np.float32), layout="nhwc")
-
     def test_weight_shape_validated(self):
         with pytest.raises(ShapeError):
-            classifier_head(np.zeros((1, 1, 3), np.float32),
+            classifier_head(np.zeros((3, 1, 1), np.float32),
                             np.zeros((2, 4), np.float32))

@@ -549,6 +549,14 @@ class TestTextInputs:
         assert rc == EXIT_DATA
         assert str(path) in err and "nests too deeply" in err
 
+    def test_score_csv_nul_byte_exits_2_with_line(self, workspace, capsys):
+        # before Python 3.11 the csv module itself rejects a NUL byte
+        lines = self.valid_bytes(workspace, "scores").split(b"\n")
+        lines[1] += b"\x00"
+        _, rc = self.run(workspace, "scores", b"\n".join(lines))
+        assert rc == EXIT_DATA
+        assert "(line 2)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=("crlf", "cr"))
     def test_score_csv_newlines_read_as_text_mode(self, workspace, capsys,
                                                   newline):

@@ -268,6 +268,18 @@ class TestCsv:
         assert err.value.line == 3
         assert "not finite" in str(err.value)
 
+    @pytest.mark.parametrize("text, line", [
+        ("label,score\nbonafide,0.9\rx\nattack,0.1\n", 2),
+        ("label,score\nbonafide,0.9\nattack,0.1\x00\n", 3),
+        ("label,score\nbonafide,0.9\nattack,\"" + "1" * 200_000 + "\"\n", 3),
+    ], ids=("bare-cr", "nul", "oversized-field"))
+    def test_reader_error_names_line(self, text, line):
+        # the csv module's own errors (and, before Python 3.11, a NUL byte)
+        # surface as ScoreCsvError with the line the reader stopped on
+        with pytest.raises(ScoreCsvError) as err:
+            read_scores_csv(text)
+        assert err.value.line == line
+
     def test_missing_attack_rows(self):
         with pytest.raises(ScoreCsvError):
             read_scores_csv("label,score\nbonafide,0.5\n")

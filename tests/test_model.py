@@ -20,6 +20,7 @@ from chromapad.blocks import (
 from chromapad.colorspace import ColorImage, ColorSpace, image_to_tensor
 from chromapad.errors import ConfigError, ShapeError, SpaceError, WeightFileError
 from chromapad.model import (
+    AblationRow,
     BackboneBlockSpec,
     Model,
     ModelConfig,
@@ -337,7 +338,7 @@ class TestForward:
         fused = fuse_branches([tokens], w["fusion.mix_weight"],
                               w["fusion.mix_bias"])
         probs = classifier_head(fused, w["classifier.weight"],
-                                w["classifier.bias"], layout="hwc")
+                                w["classifier.bias"])
         assert score == float(probs[0])
 
     def test_single_branch_full_path_matches_hand_assembly(self):
@@ -361,8 +362,7 @@ class TestForward:
         ), cfg.attention_config)
         fused = fuse_branches([tokens], w["fusion.mix_weight"],
                               w["fusion.mix_bias"])
-        chw = np.ascontiguousarray(np.transpose(fused, (2, 0, 1)))
-        out, _ = nested_residual_forward(chw, NestedResidualParams(
+        out, _ = nested_residual_forward(fused, NestedResidualParams(
             conv1_weight=w["residual.conv1_weight"],
             bn1=hand_bn(w, "residual.bn1"),
             conv2_weight=w["residual.conv2_weight"],
@@ -370,7 +370,7 @@ class TestForward:
             pool_factor=cfg.pool_factor,
         ))
         probs = classifier_head(out, w["classifier.weight"],
-                                w["classifier.bias"], layout="chw")
+                                w["classifier.bias"])
         assert score == float(probs[0])
 
     def test_toggles_change_the_path(self):
@@ -540,6 +540,12 @@ class TestAblation:
         rows = ablate([(small_config(), scores)])
         line = ablation_csv(rows).strip().split("\n")[1]
         assert line.endswith("0.00,0.00")  # perfectly separated
+
+    def test_caps_sharing_a_column_rejected(self):
+        rows = [AblationRow(config=small_config(),
+                            bpcer={0.05: 0.1, 0.051: 0.2})]
+        with pytest.raises(ConfigError, match=r"0\.05 and 0\.051.*5pct"):
+            ablation_csv(rows)
 
 
 def test_forward_identical_without_compiled_kernels(monkeypatch):

@@ -1,23 +1,26 @@
 """Byte pins of the network's structure: the complexity report over a grid
-of configs, the weight-draw order, and saved weight files.
+of configs, the weight-draw order, saved weight files, and forward scores.
 
 Each pin is a SHA-256 over a canonical rendering, so any change to a layer
-name, shape, init kind, draw order, MAC or parameter count, or saved byte
-shows up here.
+name, shape, init kind, draw order, MAC or parameter count, saved byte or
+score bit shows up here.
 """
 
 import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
-from chromapad.colorspace import ColorSpace
+from chromapad.colorspace import ColorImage, ColorSpace
 from chromapad.complexity import model_complexity
 from chromapad.model import (
     ModelConfig,
     build_model,
+    forward,
     save_weights,
+    standard_ablation_grid,
     tensor_layout,
 )
 
@@ -67,3 +70,30 @@ def test_saved_weight_bytes_pinned(tmp_path, dq, digest):
     path = tmp_path / "desk.cfpa"
     save_weights(build_model(ModelConfig.desk(seed=7, dq_enabled=dq)), path)
     assert _sha(path.read_bytes()) == digest
+
+
+def test_forward_scores_pinned_over_ablation_grid():
+    # every toggle path: one branch, two branches, attention off, residual
+    # off, all on, and DQ; two fixed images each. Scores of untrained
+    # weights sit within a few float32 steps of 0.5, so the residual
+    # block's output map (the same (C, H, W) layout on every path) is
+    # pinned too: it carries every bit of the fused map
+    images = []
+    for seed in (0, 1):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        images.append(ColorImage(
+            width=112, height=112, space=ColorSpace.RGB,
+            pixels=rng.integers(0, 256, (112, 112, 3), dtype=np.uint8)))
+    scores, maps = [], hashlib.sha256()
+    for cfg in standard_ablation_grid(ModelConfig.desk(seed=7)):
+        model = build_model(cfg)
+        for img in images:
+            score, debug = forward(model, img, want_debug=True)
+            scores.append(score)
+            if cfg.residual_enabled:
+                maps.update(debug["residual_trace"].output.tobytes())
+    assert len(scores) == 14
+    assert _sha(np.array(scores, np.float64).tobytes()) == (
+        "06c7761310bde375f8f1c7ba78c50c977b8de6f82d2ca25b09f6a57ca6cdff9a")
+    assert maps.hexdigest() == (
+        "ab62f3d640ed205e701caeca72d9ee2f560f9da39cb8880d11d7d04ad78ea4dd")
