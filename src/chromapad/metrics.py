@@ -171,32 +171,34 @@ def _read_score_rows(reader) -> ScoreSet:
             f"got {','.join(header)!r}", 1
         )
     bona, attack = [], []
-    line_no = 1
-    for line_no, row in enumerate(reader, start=2):
+    # reader.line_num, not a row count: a quoted field may span lines
+    for row in reader:
         if not row:
             continue
         if len(row) != 2:
-            raise ScoreCsvError(f"expected 2 fields, got {len(row)}", line_no)
+            raise ScoreCsvError(f"expected 2 fields, got {len(row)}",
+                                reader.line_num)
         label, raw = row[0].strip(), row[1].strip()
         try:
             score = float(raw)
         except ValueError:
             raise ScoreCsvError(f"score is not a number: {raw!r}",
-                                line_no) from None
+                                reader.line_num) from None
         if not math.isfinite(score):
-            raise ScoreCsvError(f"score is not finite: {raw!r}", line_no)
+            raise ScoreCsvError(f"score is not finite: {raw!r}",
+                                reader.line_num)
         if label == "bonafide":
             bona.append(score)
         elif label == "attack":
             attack.append(score)
         else:
             raise ScoreCsvError(
-                f"label must be 'bonafide' or 'attack', got {label!r}", line_no
-            )
+                f"label must be 'bonafide' or 'attack', got {label!r}",
+                reader.line_num)
     if not bona:
-        raise ScoreCsvError("no bonafide rows", line_no)
+        raise ScoreCsvError("no bonafide rows", reader.line_num)
     if not attack:
-        raise ScoreCsvError("no attack rows", line_no)
+        raise ScoreCsvError("no attack rows", reader.line_num)
     return ScoreSet(bonafide=np.array(bona), attack=np.array(attack))
 
 

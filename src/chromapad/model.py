@@ -15,12 +15,20 @@ and the payload. Float payloads are row-major little-endian float32; a
 quantized payload is the int8 data followed by f_min, f_max, and scale as
 little-endian float32 and the zero point as little-endian int32. Tensors are
 written sorted by name, so saving is byte-deterministic.
+
+Weights stream between file and arrays: saving checks every tensor, then
+writes each payload from its array's own buffer, and loading checks each
+claimed payload against the bytes left in the file before reading it
+straight into a new array. Neither holds a second copy of the model.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
@@ -60,6 +68,7 @@ from .tensor_ops import BatchNormParams
 WEIGHT_MAGIC = b"CFPA"
 WEIGHT_VERSION = 1
 BN_EPSILON = 1e-5
+_DRAW_CHUNK = 1 << 16  # float64 values per uniform draw in build_model
 INPUT_NORMALIZATION = "divide_by_255"  # plain [0, 1] scaling, no channel stats
 
 
@@ -267,6 +276,11 @@ def read_json(path, what):
     except RecursionError:
         raise ChromapadError(f"{what} {path} nests too deeply to parse") \
             from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ChromapadError(f"{what} {path} cannot be parsed: {exc}") \
+            from None
 
 
 def load_config(path) -> ModelConfig:
@@ -367,14 +381,20 @@ def _stage_params(cfg, plan, arrays):
 
 
 def build_model(cfg: ModelConfig) -> Model:
-    """Deterministically initialize a model from the config seed."""
+    """Deterministically initialize a model from the config seed.
+
+    A uniform tensor is drawn `_DRAW_CHUNK` values at a time into its
+    float32 array; a PCG64 stream drawn in pieces equals one draw."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     weights = {}
     for spec in tensor_layout(cfg):
         if spec.init == "uniform":
             bound = 1.0 / math.sqrt(math.prod(spec.shape[1:]))
-            weights[spec.name] = rng.uniform(
-                -bound, bound, spec.shape).astype(np.float32)
+            weights[spec.name] = arr = np.empty(spec.shape, np.float32)
+            flat = arr.reshape(-1)
+            for start in range(0, flat.size, _DRAW_CHUNK):
+                piece = flat[start:start + _DRAW_CHUNK]
+                piece[...] = rng.uniform(-bound, bound, piece.size)
         elif spec.init == "ones":
             weights[spec.name] = np.ones(spec.shape, np.float32)
         else:
@@ -435,58 +455,99 @@ _DTYPE_QINT8 = 1
 
 
 def write_tensor_file(tensors, path):
-    """Write a named tensor set in the CFPA format, sorted by name."""
-    chunks = [WEIGHT_MAGIC, struct.pack("<II", WEIGHT_VERSION, len(tensors))]
+    """Write a named tensor set in the CFPA format, sorted by name.
+
+    Every tensor is checked before the file is opened, so a bad one leaves
+    no file behind; each payload is then written from the array's own
+    buffer, without a copy."""
+    parts = []
     for name in sorted(tensors):
         value = tensors[name]
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
+        trailer = b""
         if isinstance(value, QuantizedTensor):
-            q = value.qdata
             p = value.params
             if not -2**31 <= p.zero_point < 2**31:
                 raise WeightFileError(
                     f"zero point {p.zero_point} of tensor {name!r} does not "
                     f"fit in int32"
                 )
-            chunks.append(struct.pack("<BB", _DTYPE_QINT8, q.ndim))
-            chunks.append(struct.pack(f"<{q.ndim}Q", *q.shape))
-            chunks.append(q.astype("<i1").tobytes())
-            chunks.append(struct.pack("<fffi", p.f_min, p.f_max, p.scale,
-                                      p.zero_point))
+            code, payload = _DTYPE_QINT8, np.asarray(value.qdata, order="C")
+            trailer = struct.pack("<fffi", p.f_min, p.f_max, p.scale,
+                                  p.zero_point)
         else:
-            arr = np.asarray(value, np.float32)
-            chunks.append(struct.pack("<BB", _DTYPE_F32, arr.ndim))
-            chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            chunks.append(arr.astype("<f4").tobytes())
+            code, payload = _DTYPE_F32, np.asarray(value, "<f4", order="C")
+        head = struct.pack(f"<I{len(encoded)}sBB{payload.ndim}Q",
+                           len(encoded), encoded, code, payload.ndim,
+                           *payload.shape)
+        parts.append((head, payload, trailer))
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(WEIGHT_MAGIC + struct.pack("<II", WEIGHT_VERSION, len(parts)))
+        for head, payload, trailer in parts:
+            fh.write(head)
+            fh.write(payload)
+            fh.write(trailer)
 
 
 class _Reader:
-    def __init__(self, data):
-        self.data = data
+    """Position-tracked reads from a binary stream of ``size`` bytes; each
+    read is checked against the bytes left before anything is read or
+    allocated for it."""
+
+    def __init__(self, fh, size):
+        self.fh = fh
+        self.size = size
         self.pos = 0
 
+    def _check(self, n, what):
+        if n > self.size - self.pos:
+            raise self._truncated(what)
+
+    def _truncated(self, what):
+        return WeightFileError(
+            f"truncated while reading {what} at byte offset {self.pos}")
+
     def take(self, n, what):
-        if self.pos + n > len(self.data):
-            raise WeightFileError(
-                f"truncated while reading {what} at byte offset {self.pos}"
-            )
-        piece = self.data[self.pos:self.pos + n]
+        self._check(n, what)
+        piece = self.fh.read(n)
+        if len(piece) != n:  # the file shrank after its size was taken
+            raise self._truncated(what)
         self.pos += n
         return piece
 
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def take_array(self, dtype, shape, name):
+        """The payload of tensor ``name``, read straight into its array."""
+        what = f"payload of {name!r}"
+        n = math.prod(shape) * np.dtype(dtype).itemsize
+        self._check(n, what)
+        try:
+            arr = np.empty(shape, dtype)
+        except ValueError:  # a zero extent beside extents too large to span
+            raise WeightFileError(f"tensor {name!r} has extents {shape} that "
+                                  f"no array can hold") from None
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != n:
+            raise self._truncated(what)
+        self.pos += n
+        return arr
+
 
 def read_tensor_file(path):
-    """Read a CFPA tensor file into an ordered name -> value mapping."""
+    """Read a CFPA tensor file into an ordered name -> value mapping.
+
+    Each payload is read straight into its own array; a path that is not a
+    regular file, such as a pipe, is read whole first."""
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            return _read_tensors(_Reader(fh, st.st_size))
         data = fh.read()
-    r = _Reader(data)
+    return _read_tensors(_Reader(io.BytesIO(data), len(data)))
+
+
+def _read_tensors(r):
     magic = r.take(4, "magic")
     if magic != WEIGHT_MAGIC:
         raise WeightFileError(
@@ -512,15 +573,12 @@ def read_tensor_file(path):
         if not 1 <= rank <= 4:
             raise WeightFileError(f"tensor {name!r} has invalid rank {rank}")
         shape = r.unpack(f"<{rank}Q", f"extents of {name!r}")
-        n = 1
-        for extent in shape:
-            n *= extent
         if dtype == _DTYPE_F32:
-            raw = r.take(4 * n, f"payload of {name!r}")
-            tensors[name] = np.frombuffer(raw, "<f4").reshape(shape).astype(
-                np.float32)
+            # native order for the kernels: no copy on a little-endian host
+            tensors[name] = r.take_array("<f4", shape, name).astype(
+                np.float32, copy=False)
         elif dtype == _DTYPE_QINT8:
-            raw = r.take(n, f"payload of {name!r}")
+            qdata = r.take_array(np.int8, shape, name)
             f_min, f_max, scale, zero = r.unpack(
                 "<fffi", f"quant params of {name!r}")
             try:
@@ -528,9 +586,7 @@ def read_tensor_file(path):
                                      scale=float(scale), zero_point=int(zero))
             except QuantizationError as exc:
                 raise WeightFileError(f"tensor {name!r}: {exc}") from None
-            tensors[name] = QuantizedTensor(
-                qdata=np.frombuffer(raw, "<i1").reshape(shape).copy(),
-                params=params)
+            tensors[name] = QuantizedTensor(qdata=qdata, params=params)
         else:
             raise WeightFileError(
                 f"tensor {name!r} has unknown dtype code {dtype}"

@@ -12,6 +12,11 @@ quantize to all -128 and reconstruct exactly. Scale and range endpoints are
 held at float32 precision from the moment they are computed, so in-memory
 reconstruction and reconstruction after a serialization round trip are
 bit-identical.
+
+Both formulas are elementwise, so `quantize` and `dequantize_f32` evaluate
+them in double precision over fixed-size pieces of the flattened tensor and
+write each piece straight into the int8 or float32 result: no float64 copy
+of the whole tensor is made, and the bits equal one whole-tensor evaluation.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuantizationError
+
+# elements per float64 piece in `quantize` and `dequantize_f32`
+_CHUNK = 1 << 16
 
 # serialized per-tensor overhead: f_min, f_max, S as float32 plus Z as int32
 PARAM_OVERHEAD_BYTES = 16
@@ -94,28 +102,50 @@ def compute_quant_params(f) -> QuantParams:
                        zero_point=zero_point)
 
 
+def _pieces(src, dst):
+    """(source, destination) views of successive `_CHUNK`-element pieces of
+    the flattened ``src`` and the contiguous ``dst`` of the same size."""
+    src, dst = src.reshape(-1), dst.reshape(-1)
+    for start in range(0, src.size, _CHUNK):
+        yield src[start:start + _CHUNK], dst[start:start + _CHUNK]
+
+
 def quantize(f, params: QuantParams) -> QuantizedTensor:
     """Map values to int8 via round((f - f_min) / S) - 128, clamped."""
-    arr = np.asarray(f, np.float32).astype(np.float64)
-    q = _round_half_away((arr - params.f_min) / params.scale) - 128.0
-    q = np.clip(q, -128, 127)
-    return QuantizedTensor(qdata=q.astype(np.int8), params=params)
+    arr = np.asarray(f, np.float32)
+    q = np.empty(arr.shape, np.int8)
+    for piece, out in _pieces(arr, q):
+        x = piece.astype(np.float64)
+        x -= params.f_min
+        x /= params.scale
+        x = _round_half_away(x)
+        x -= 128.0
+        out[...] = np.clip(x, -128, 127, out=x)
+    return QuantizedTensor(qdata=q, params=params)
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct f' = (q + 128) * S + f_min.
+    """Reconstruct f' = (q + 128) * S + f_min as a new float64 array.
 
-    Evaluated and returned in double precision so the reconstruction error
-    bound S/2 is met exactly as stated; cast to float32 at the point of use
-    (see `dequantize_f32`).
+    Double precision meets the reconstruction error bound S/2 exactly as
+    stated; the kernels take `dequantize_f32`, which rounds the same values
+    to float32 piece by piece.
     """
     q = qt.qdata.astype(np.float64)
     return (q + 128.0) * qt.params.scale + qt.params.f_min
 
 
 def dequantize_f32(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruction cast to the float32 tensor type used by the kernels."""
-    return dequantize(qt).astype(np.float32)
+    """`dequantize` rounded to the float32 tensor type used by the kernels,
+    evaluated a piece at a time into the float32 result."""
+    out = np.empty(qt.qdata.shape, np.float32)
+    for piece, dst in _pieces(qt.qdata, out):
+        x = piece.astype(np.float64)
+        x += 128.0
+        x *= qt.params.scale
+        x += qt.params.f_min
+        dst[...] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,7 +249,10 @@ def quantize_model(weights, policy=None):
             except QuantizationError as exc:
                 raise QuantizationError(f"tensor {name!r}: {exc}") from None
             qt = quantize(arr, params)
-            err = np.abs(dequantize(qt) - arr.astype(np.float64))
+            # one float64 buffer: the reconstruction, then its error
+            err = dequantize(qt)
+            np.subtract(err, arr, out=err)
+            np.abs(err, out=err)
             rows.append(TensorQuantReport(
                 name=name, quantized=True, elements=n,
                 bytes_before=4 * n,

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -324,6 +325,17 @@ class TestQuantize:
                 assert row["bytes_before"] == 4 * row["elements"]
                 assert row["bytes_after"] == row["elements"] + 16
 
+    def test_unallocatable_extents_exit_2(self, workspace, capsys):
+        # extents (0, 2**62): a 0-byte payload no array can span
+        bad = workspace["dir"] / "wide.cfpa"
+        bad.write_bytes(b"CFPA" + struct.pack("<III", 1, 1, 1) + b"a"
+                        + struct.pack("<BBQQ", 0, 2, 0, 2**62))
+        rc = main(["quantize", "--weights", str(bad),
+                   "--out", str(workspace["dir"] / "out.cfpa")])
+        assert rc == EXIT_DATA
+        assert "tensor 'a' has extents" in capsys.readouterr().err
+        assert not (workspace["dir"] / "out.cfpa").exists()
+
     def test_policy_flag(self, workspace, capsys):
         out_path = workspace["dir"] / "quant.cfpa"
         rc = main(["quantize", "--weights", str(workspace["weights"]),
@@ -548,6 +560,17 @@ class TestTextInputs:
         err = capsys.readouterr().err
         assert rc == EXIT_DATA
         assert str(path) in err and "nests too deeply" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer digit limit")
+    @pytest.mark.parametrize("kind", ["config", "grid"])
+    def test_integer_past_digit_limit_exits_2(self, workspace, capsys, kind):
+        digits = sys.get_int_max_str_digits() + 700
+        path, rc = self.run(workspace, kind,
+                            b'{"seed": ' + b"1" * digits + b"}")
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert str(path) in err and "cannot be parsed" in err
 
     def test_score_csv_nul_byte_exits_2_with_line(self, workspace, capsys):
         # before Python 3.11 the csv module itself rejects a NUL byte

@@ -268,6 +268,13 @@ class TestCsv:
         assert err.value.line == 3
         assert "not finite" in str(err.value)
 
+    def test_line_number_counts_lines_of_quoted_fields(self):
+        # the quoted score spans lines 3 and 4, so "foo" is on line 5
+        with pytest.raises(ScoreCsvError) as err:
+            read_scores_csv('label,score\nbonafide,0.5\nattack,"0.1\n"\n'
+                            'foo,0.3\n')
+        assert err.value.line == 5
+
     @pytest.mark.parametrize("text, line", [
         ("label,score\nbonafide,0.9\rx\nattack,0.1\n", 2),
         ("label,score\nbonafide,0.9\nattack,0.1\x00\n", 3),

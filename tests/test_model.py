@@ -1,5 +1,10 @@
 """End-to-end model tests: build, forward, serialization, ablation."""
 
+import os
+import struct
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,7 @@ from chromapad.blocks import (
 from chromapad.colorspace import ColorImage, ColorSpace, image_to_tensor
 from chromapad.errors import ConfigError, ShapeError, SpaceError, WeightFileError
 from chromapad.model import (
+    _DRAW_CHUNK,
     AblationRow,
     BackboneBlockSpec,
     Model,
@@ -35,9 +41,11 @@ from chromapad.model import (
     scores_from_images,
     standard_ablation_grid,
     tensor_layout,
+    write_tensor_file,
 )
 from chromapad.metrics import ScoreSet, synth_scores
-from chromapad.quant import QuantizedTensor, dequantize_f32
+from chromapad.quant import (QuantizedTensor, QuantParams,
+                             compute_quant_params, dequantize_f32, quantize)
 from chromapad.colorspace import to_ppm_bytes
 from chromapad.tensor_ops import BatchNormParams
 
@@ -500,6 +508,116 @@ class TestSerialization:
         save_weights(m, path)
         loaded = load_weights(path, small_config(dq_enabled=True))
         assert isinstance(loaded.weights["fusion.mix_weight"], QuantizedTensor)
+
+    def test_every_cut_reports_truncation_offset(self, tmp_path):
+        # a float and a quantized tensor: every section of the format
+        f = np.arange(6, dtype=np.float32).reshape(2, 3)
+        tensors = {"a": f, "b": quantize(f, compute_quant_params(f))}
+        path = tmp_path / "full.cfpa"
+        write_tensor_file(tensors, path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.cfpa"
+        for length in range(len(data)):
+            cut.write_bytes(data[:length])
+            with pytest.raises(WeightFileError, match="truncated while "
+                               r"reading .* at byte offset \d+$"):
+                read_tensor_file(cut)
+
+    def test_huge_claimed_payload_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.cfpa"
+        path.write_bytes(b"CFPA" + struct.pack("<III", 1, 1, 1) + b"a"
+                         + struct.pack("<BBQ", 0, 1, 2**40))
+        with pytest.raises(WeightFileError) as err:
+            read_tensor_file(path)
+        assert str(err.value) == \
+            "truncated while reading payload of 'a' at byte offset 27"
+
+    def test_unallocatable_extents_named(self, tmp_path):
+        # a zero extent makes the payload 0 bytes, so it passes the size
+        # check, but no array spans the other extent
+        path = tmp_path / "wide.cfpa"
+        path.write_bytes(b"CFPA" + struct.pack("<III", 1, 1, 1) + b"a"
+                         + struct.pack("<BBQQ", 0, 2, 0, 2**62))
+        with pytest.raises(WeightFileError, match="tensor 'a' has extents"):
+            read_tensor_file(path)
+
+    @pytest.mark.parametrize("bad_name, bad_value, error", [
+        ("z", QuantizedTensor(np.zeros(3, np.int8),
+                              QuantParams(0.0, 1.0, 1.0, 2**31)),
+         WeightFileError),
+        ("z\ud800", np.zeros(3, np.float32), UnicodeEncodeError),
+    ], ids=("zero_point", "name"))
+    def test_bad_tensor_leaves_no_file(self, tmp_path, bad_name, bad_value,
+                                       error):
+        # sorted last, so a writer that checked as it went would have
+        # written the good tensor already
+        path = tmp_path / "bad.cfpa"
+        with pytest.raises(error):
+            write_tensor_file({"a": np.ones(4, np.float32),
+                               bad_name: bad_value}, path)
+        assert not path.exists()
+
+    def test_fifo_loads_as_file(self, tmp_path):
+        cfg = small_config(dq_enabled=True)
+        path = tmp_path / "model.cfpa"
+        save_weights(build_model(cfg), path)
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        piped = load_weights(fifo, cfg)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        again = load_weights(path, cfg)
+        assert list(piped.weights) == list(again.weights)
+        for name, value in again.weights.items():
+            if isinstance(value, QuantizedTensor):
+                assert piped.weights[name].params == value.params
+                value = value.qdata
+                assert piped.weights[name].qdata.tobytes() == value.tobytes()
+            else:
+                assert piped.weights[name].tobytes() == value.tobytes()
+
+
+class TestWeightMemory:
+    """Weights move between file and arrays without whole-model copies."""
+
+    # its residual weights span several draw pieces
+    CONFIG = ModelConfig.desk(embed_dim=192, num_heads=4)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_allocates_model_plus_one_piece(self):
+        build_model(self.CONFIG)  # one-time allocations of a first draw
+        model, peak = self.traced_peak(lambda: build_model(self.CONFIG))
+        assert max(w.size for w in model.weights.values()) > 4 * _DRAW_CHUNK
+        model_bytes = sum(w.nbytes for w in model.weights.values())
+        # one float64 piece, plus 64 KiB for the layer plan and dicts
+        assert peak <= model_bytes + 8 * _DRAW_CHUNK + (64 << 10)
+
+    def test_write_allocates_under_one_mib(self, tmp_path):
+        model = build_model(self.CONFIG)
+        _, peak = self.traced_peak(
+            lambda: save_weights(model, tmp_path / "model.cfpa"))
+        assert peak < 1 << 20
+
+    def test_read_allocates_payload_plus_one_mib(self, tmp_path):
+        path = tmp_path / "model.cfpa"
+        save_weights(build_model(self.CONFIG), path)
+        tensors, peak = self.traced_peak(lambda: read_tensor_file(path))
+        assert peak <= sum(t.nbytes for t in tensors.values()) + (1 << 20)
 
 
 class TestAblation:

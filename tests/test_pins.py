@@ -1,5 +1,6 @@
 """Byte pins of the network's structure: the complexity report over a grid
-of configs, the weight-draw order, saved weight files, and forward scores.
+of configs, the weight-draw order, saved weight files, quantization and
+forward scores.
 
 Each pin is a SHA-256 over a canonical rendering, so any change to a layer
 name, shape, init kind, draw order, MAC or parameter count, saved byte or
@@ -19,10 +20,13 @@ from chromapad.model import (
     ModelConfig,
     build_model,
     forward,
+    read_tensor_file,
     save_weights,
     standard_ablation_grid,
     tensor_layout,
+    write_tensor_file,
 )
+from chromapad.quant import QuantizedTensor, dequantize_f32, quantize_model
 
 _BRANCH_SUBSETS = (
     (ColorSpace.RGB,),
@@ -70,6 +74,44 @@ def test_saved_weight_bytes_pinned(tmp_path, dq, digest):
     path = tmp_path / "desk.cfpa"
     save_weights(build_model(ModelConfig.desk(seed=7, dq_enabled=dq)), path)
     assert _sha(path.read_bytes()) == digest
+
+
+def _file_sha(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def paper_float_file(tmp_path_factory):
+    # desk tensors each fit in one draw or (de)quantization piece; paper
+    # tensors span many, so these pins cover the seams between pieces
+    path = tmp_path_factory.mktemp("paper") / "paper.cfpa"
+    save_weights(build_model(ModelConfig.paper(seed=7)), path)
+    return path
+
+
+def test_paper_saved_weight_bytes_pinned(paper_float_file):
+    assert _file_sha(paper_float_file) == (
+        "3093e99c64d0dc8b83bdc22570c2b26de1d9b02f9b84ca76cd502a56a855a957")
+
+
+def test_paper_quantization_pinned(paper_float_file, tmp_path):
+    quantized, report = quantize_model(read_tensor_file(paper_float_file))
+    assert _sha(json.dumps(report.to_json_dict()).encode()) == (
+        "75d94ed849a74e6845d9d010058200b62db939610b70c3989dfa62600c5b8e29")
+    path = tmp_path / "paper_int8.cfpa"
+    write_tensor_file(quantized, path)
+    assert _file_sha(path) == (
+        "3442e20179d2772ad1d337c76fe19e0b75ed2116bcac6832dbac5666e508da6e")
+    digest = hashlib.sha256()
+    for name in sorted(quantized):
+        if isinstance(quantized[name], QuantizedTensor):
+            digest.update(dequantize_f32(quantized[name]).tobytes())
+    assert digest.hexdigest() == (
+        "ccffa7d61c3278fc6127fb29792ef58ead4eaf0c1ba674b4b98a90871b7000c4")
 
 
 def test_forward_scores_pinned_over_ablation_grid():
