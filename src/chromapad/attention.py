@@ -174,18 +174,18 @@ def qkv_project(tokens, params: AttentionParams, cfg: WindowAttentionConfig):
 
     One affine map of width 3d applies to every row of ``tokens`` (T, d);
     the output splits in order [Q | K | V] and each part splits head-major
-    into contiguous runs of ``head_dim`` columns. Returns three arrays of
-    shape (heads, T, head_dim).
+    into contiguous runs of ``head_dim`` columns. Returns three views of the
+    projection, each (heads, T, head_dim).
     """
     tokens = np.asarray(tokens, np.float32)
     d = cfg.embed_dim
     if tokens.ndim != 2 or tokens.shape[1] != d:
         raise ShapeError(f"tokens shape {tokens.shape}, expected (T, {d})")
     params.validate(cfg)
-    proj = matmul(tokens, np.ascontiguousarray(params.qkv_weight.T))
+    proj = matmul(tokens, params.qkv_weight.T)
     proj = proj + params.qkv_bias
     parts = proj.reshape(-1, 3, cfg.num_heads, cfg.head_dim)
-    return tuple(np.ascontiguousarray(p) for p in parts.transpose(1, 2, 0, 3))
+    return tuple(parts.transpose(1, 2, 0, 3))
 
 
 def window_attention_head(q, k, v, bias) -> np.ndarray:
@@ -243,6 +243,6 @@ def multi_head_window_attention(x, params: AttentionParams,
                                      v.reshape(per_head), bias[:, None])
     # concatenate heads along channels: (heads, nW, N, d_h) -> (nW * N, d)
     out = attended.transpose(1, 2, 0, 3).reshape(n_windows * n_tokens, d)
-    mixed = matmul(out, np.ascontiguousarray(params.out_weight.T))
+    mixed = matmul(out, params.out_weight.T)
     mixed = mixed + params.out_bias
     return window_reverse(mixed.reshape(n_windows, n_tokens, d), h, w, cfg.window)

@@ -96,7 +96,7 @@ def bottleneck_project(features, weight, bias=None) -> np.ndarray:
     window attention.
     """
     projected = conv2d(features, weight, bias=bias)
-    return np.ascontiguousarray(np.transpose(projected, (1, 2, 0)))
+    return np.transpose(projected, (1, 2, 0))
 
 
 def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
@@ -218,7 +218,7 @@ def classifier_head(features, weight, bias=None) -> np.ndarray:
             f"classifier weight shape {weight.shape}, expected "
             f"(2, {pooled.shape[0]})"
         )
-    logits = matmul(pooled[None, :], np.ascontiguousarray(weight.T))[0]
+    logits = matmul(pooled[None, :], weight.T)[0]
     if bias is not None:
         logits = logits + np.asarray(bias, np.float32)
     return softmax_last_axis(logits)

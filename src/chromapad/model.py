@@ -340,7 +340,8 @@ class Model:
                                           f"quantization parameters")
                 value.qdata.flags.writeable = False
                 arr = dequantize_f32(value)
-            if not np.isfinite(arr).all():
+            # min and max propagate NaN, and neither copies the tensor
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise WeightFileError(f"tensor {name!r} holds non-finite "
                                       f"values")
             arr.flags.writeable = False

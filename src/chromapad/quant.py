@@ -125,14 +125,18 @@ def quantize(f, params: QuantParams) -> QuantizedTensor:
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct f' = (q + 128) * S + f_min as a new float64 array.
+    """Reconstruct f' = (q + 128) * S + f_min, each step in place in one
+    new float64 array.
 
     Double precision meets the reconstruction error bound S/2 exactly as
     stated; the kernels take `dequantize_f32`, which rounds the same values
     to float32 piece by piece.
     """
-    q = qt.qdata.astype(np.float64)
-    return (q + 128.0) * qt.params.scale + qt.params.f_min
+    out = qt.qdata.astype(np.float64)
+    out += 128.0
+    out *= qt.params.scale
+    out += qt.params.f_min
+    return out
 
 
 def dequantize_f32(qt: QuantizedTensor) -> np.ndarray:

@@ -6,13 +6,13 @@ naive triple loop. Tensors are numpy float32 arrays of rank 1..4; kernels are
 pure functions and never mutate their inputs.
 
 `batched_matmul` is the one contraction kernel: `matmul` is its batch of one
-and `conv2d` runs every group as one batch entry. Batching never changes the
-order in which one output element's products are summed. A large product is
-split into contiguous shares of batch entries or output rows, one per CPU
-the process may run on; each share runs the same kernel, one on the
-calling thread and each other one on a thread that the call starts and
-joins before it returns, so every output element is still one thread's
-ascending-k sum. The module keeps no thread, pool or lock between calls.
+and `conv2d` runs every group as one batch entry; batching never changes the
+order of one output element's sum. Operands may be any strided views: the
+kernel reads the left one in place, and the right one is copied only when it
+is not C-contiguous, so no caller lays out an operand. A large product is
+split into contiguous shares of batch entries or output rows, one per usable
+CPU, each run by the calling thread or by a thread joined before the call
+returns, so every output element is still one thread's ascending-k sum.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def batched_matmul(a, b) -> np.ndarray:
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"batched_matmul needs (B, m, k) and (B, k, n) "
                          f"operands, got {a.shape} and {b.shape}")
-    a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+    a_t = a.transpose(0, 2, 1)
     b = np.ascontiguousarray(b)
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     kernel = _matmul_compiled or _matmul_numpy

@@ -1,5 +1,6 @@
 """Window attention tests, including the naive full-attention oracle."""
 
+import dataclasses
 import math
 import time
 
@@ -215,6 +216,43 @@ class TestQkvProject:
             + params.qkv_bias
         assert np.allclose(q[0], full[:, 0:2], atol=1e-5)
         assert np.allclose(q[1], full[:, 2:4], atol=1e-5)
+
+
+def _extra_row(t):
+    return np.concatenate([t, t[:1]])
+
+
+def _nan_first(t):
+    t = t.copy()
+    t.flat[0] = np.nan
+    return t
+
+
+_PROJECT_CFG = WindowAttentionConfig(embed_dim=4, num_heads=2, window=2)
+_ENTRY_POINTS = {
+    "qkv_project": lambda params: qkv_project(
+        np.zeros((4, 4), np.float32), params, _PROJECT_CFG),
+    "window_attention": lambda params: multi_head_window_attention(
+        np.zeros((2, 2, 4), np.float32), params, _PROJECT_CFG),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@pytest.mark.parametrize("name, corrupt, error, message", [
+    *(pytest.param(name, _extra_row, ShapeError, f"^{name} has shape",
+                   id=f"{name}-shape")
+      for name in ("qkv_weight", "qkv_bias", "out_weight", "out_bias",
+                   "rel_bias_table")),
+    pytest.param("rel_bias_table", _nan_first, ConfigError,
+                 "^rel_bias_table contains", id="rel_bias_table-nan"),
+])
+def test_invalid_params_rejected(entry, name, corrupt, error, message):
+    # one extra leading row keeps the table's width, so the bias expansion
+    # accepts it and the parameter check is what rejects it
+    params = random_params(_PROJECT_CFG, np.random.default_rng(8))
+    bad = dataclasses.replace(params, **{name: corrupt(getattr(params, name))})
+    with pytest.raises(error, match=message):
+        _ENTRY_POINTS[entry](bad)
 
 
 class TestAttentionHead:

@@ -607,6 +607,23 @@ class TestWeightMemory:
         # one float64 piece, plus 64 KiB for the layer plan and dicts
         assert peak <= model_bytes + 8 * _DRAW_CHUNK + (64 << 10)
 
+    def test_finiteness_check_copies_no_tensor(self):
+        built = build_model(self.CONFIG)
+        _, peak = self.traced_peak(
+            lambda: Model(config=self.CONFIG, weights=dict(built.weights)))
+        # less than a bool copy of the largest tensor
+        assert peak < max(w.size for w in built.weights.values())
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_value_names_tensor(self, bad):
+        weights = dict(build_model(self.CONFIG).weights)
+        name = "residual.conv1_weight"
+        weights[name] = arr = weights[name].copy()
+        arr.flat[arr.size // 2] = bad
+        with pytest.raises(WeightFileError,
+                           match=f"tensor '{name}' holds non-finite"):
+            Model(config=self.CONFIG, weights=weights)
+
     def test_write_allocates_under_one_mib(self, tmp_path):
         model = build_model(self.CONFIG)
         _, peak = self.traced_peak(

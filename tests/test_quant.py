@@ -1,6 +1,7 @@
 """Dynamic quantization round-trip and policy tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ class TestRoundTrip:
         qt = quantize(f, compute_quant_params(f))
         assert dequantize_f32(qt).tobytes() == \
             dequantize(qt).astype(np.float32).tobytes()
+
+    def test_dequantize_fills_one_float64_buffer(self):
+        f = np.random.default_rng(6).uniform(-1, 1, 1 << 18).astype(np.float32)
+        p = compute_quant_params(f)
+        qt = quantize(f, p)
+        tracemalloc.start()
+        try:
+            out = dequantize(qt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + (64 << 10)
+        expected = (qt.qdata.astype(np.float64) + 128.0) * p.scale + p.f_min
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_subnormal_span_round_trips():

@@ -1,5 +1,6 @@
 """Tensor kernel tests against independent reference implementations."""
 
+import itertools
 import os
 
 import numpy as np
@@ -390,25 +391,29 @@ def test_matmul_property_vs_oracle(seed, batch, m, k, n):
 
 def test_compiled_and_numpy_matmul_paths_identical():
     # the loop nest runs as plain Python here and is what gets compiled when
-    # numba is present, so both kernel bodies are compared on every install
+    # numba is present, so both kernel bodies are compared on every install;
+    # each also takes a_t as the transposed view that `batched_matmul`
+    # passes, which numba compiles as a separate (strided) specialization
     import chromapad.tensor_ops as T
 
     rng = np.random.default_rng(21)
     # (2, 9, 2, 7000) spans two output-row blocks of the numpy path
     shapes = [(1, 1, 1, 1), (3, 17, 4, 5), (2, 33, 3, 2), (2, 9, 2, 7000)]
     shapes += [tuple(rng.integers(1, 20, size=4)) for _ in range(8)]
+    kernels = [T._matmul_numpy, T._matmul_loops]
+    if T._matmul_compiled is not None:
+        kernels.append(T._matmul_compiled)
     for batch, m, k, n in shapes:
         a_t = (rng.standard_normal((batch, k, m)) * 100).astype(np.float32)
         b = (rng.standard_normal((batch, k, n)) * 100).astype(np.float32)
-        fallback = np.empty((batch, m, n), np.float32)
-        T._matmul_numpy(a_t, b, fallback)
-        loops = np.empty((batch, m, n), np.float32)
-        T._matmul_loops(a_t, b, loops)
-        assert loops.tobytes() == fallback.tobytes()
-        if T._matmul_compiled is not None:
-            compiled = np.empty((batch, m, n), np.float32)
-            T._matmul_compiled(a_t, b, compiled)
-            assert compiled.tobytes() == fallback.tobytes()
+        a_view = np.ascontiguousarray(a_t.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert min(m, k) == 1 or not a_view.flags.c_contiguous
+        expected = np.empty((batch, m, n), np.float32)
+        T._matmul_numpy(a_t, b, expected)
+        for kernel, operand in itertools.product(kernels, (a_t, a_view)):
+            out = np.empty((batch, m, n), np.float32)
+            kernel(operand, b, out)
+            assert out.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(params=[2, 3], ids=("2_threads", "3_threads"))
