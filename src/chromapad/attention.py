@@ -233,10 +233,11 @@ def multi_head_window_attention(x, params: AttentionParams,
     h, w, d = x.shape
     windows = window_partition(x, cfg.window)
     n_windows, n_tokens, _ = windows.shape
+    # the projection checks every parameter, the bias table included,
+    # before the table expands
+    q, k, v = qkv_project(windows.reshape(n_windows * n_tokens, d), params, cfg)
     bias = (expand_relative_bias(params.rel_bias_table, cfg.window)
             if bias is None else raw_bias_matrices(bias, cfg))
-
-    q, k, v = qkv_project(windows.reshape(n_windows * n_tokens, d), params, cfg)
     per_head = (cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
     # one call for every (head, window); each head's bias spans its windows
     attended = window_attention_head(q.reshape(per_head), k.reshape(per_head),

@@ -32,6 +32,7 @@ from .model import (
     read_json,
     read_tensor_file,
     read_text,
+    score_in_shares,
     scores_from_images,
     write_tensor_file,
 )
@@ -101,12 +102,14 @@ def _emit(text, out_path):
 def _cmd_infer(args):
     cfg = load_config(args.config)
     model = load_weights(args.weights, cfg)
-    rows = []
-    for path in args.image:
+
+    def score(path):
         with open(path, "rb") as fh:
-            score = forward_ppm(model, fh.read())
-        rows.append(f"{path},{score:.10g}")
-    _emit("\n".join(rows) + "\n", args.out)
+            return forward_ppm(model, fh.read())
+
+    scores = score_in_shares(score, args.image)
+    _emit("".join(f"{path},{value:.10g}\n"
+                  for path, value in zip(args.image, scores)), args.out)
     return EXIT_OK
 
 

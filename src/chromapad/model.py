@@ -28,6 +28,7 @@ import io
 import json
 import math
 import os
+import signal
 import stat
 import struct
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
@@ -449,6 +450,102 @@ def forward_ppm(model: Model, ppm_bytes: bytes) -> float:
     return score
 
 
+# --- scoring many images ---------------------------------------------------
+
+def _share_cpus():
+    """The CPUs that shares are pinned to: those the calling thread may run
+    on, or none where a process cannot fork or pin itself."""
+    if not all(hasattr(os, f) for f in
+               ("fork", "sched_getaffinity", "sched_setaffinity")):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _score_share(score, paths, share, cpu, write_fd):
+    """Body of a forked child: score ``share`` pinned to ``cpu``, writing
+    each score to ``write_fd`` as 8 float64 bytes. Never returns, so the
+    child never runs its caller's code or flushes its caller's buffers."""
+    code = 1
+    try:
+        os.sched_setaffinity(0, {cpu})
+        for i in share:
+            os.write(write_fd, struct.pack("d", score(paths[i])))
+        code = 0
+    finally:  # whatever was raised, BaseException included
+        os._exit(code)
+
+
+def _read_to_eof(fd):
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def score_in_shares(score, paths):
+    """``[score(p) for p in paths]``, with contiguous shares of ``paths``
+    scored side by side, one per CPU, as forked processes.
+
+    With at least two paths and two CPUs the calling thread forks one child
+    per share after the first; each child pins itself to its own CPU, so
+    its products run serially, and sends back each score's exact float64
+    bytes. The caller pins itself to the first CPU for the first share and
+    restores its mask afterwards. It then reads every child's scores to
+    EOF and reaps every child, and scores in argument order whatever a
+    child did not hand back. Scoring is deterministic, so a failing path
+    raises exactly what the serial loop raises, and no exception crosses a
+    process boundary. If the caller's own share raises, every child is
+    killed and reaped before the exception propagates. Without ``os.fork``
+    or CPU affinity, or with one CPU or one path, this is the serial loop.
+    """
+    paths = list(paths)
+    cpus = _share_cpus()
+    width = min(len(cpus), len(paths))
+    if width < 2:
+        return [score(p) for p in paths]
+    step = -(-len(paths) // width)
+    shares = [range(i, min(i + step, len(paths)))
+              for i in range(0, len(paths), step)]
+    got = [None] * len(paths)
+    children = []  # (pid, read fd, share)
+    try:
+        for cpu, share in zip(cpus[1:], shares[1:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # the caller scores this share itself
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _score_share(score, paths, share, cpu, write_fd)
+            children.append((pid, read_fd, share))
+            os.close(write_fd)
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpus[0]})
+        try:
+            for i in shares[0]:
+                got[i] = score(paths[i])
+        finally:
+            os.sched_setaffinity(0, mask)
+        for _, read_fd, share in children:
+            # a pipe write of 8 bytes is atomic, so a child that died
+            # mid-share leaves whole scores only
+            scores = struct.iter_unpack("d", _read_to_eof(read_fd))
+            for i, (value,) in zip(share, scores):
+                got[i] = value
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return [score(p) if value is None else value
+            for p, value in zip(paths, got)]
+
+
 # --- weight file serialization -------------------------------------------
 
 _DTYPE_F32 = 0
@@ -695,12 +792,12 @@ def scores_from_images(cfg: ModelConfig, bonafide_ppms, attack_ppms) -> ScoreSet
     enough to exercise a configuration end to end.
     """
     model = build_model(cfg)
-    def run(paths):
-        scores = []
-        for p in paths:
-            with open(p, "rb") as fh:
-                scores.append(forward_ppm(model, fh.read()))
-        return scores
+    bonafide = list(bonafide_ppms)
 
-    return ScoreSet(bonafide=run(list(bonafide_ppms)),
-                    attack=run(list(attack_ppms)))
+    def score(path):
+        with open(path, "rb") as fh:
+            return forward_ppm(model, fh.read())
+
+    scores = score_in_shares(score, [*bonafide, *attack_ppms])
+    return ScoreSet(bonafide=scores[:len(bonafide)],
+                    attack=scores[len(bonafide):])

@@ -10,9 +10,10 @@ and `conv2d` runs every group as one batch entry; batching never changes the
 order of one output element's sum. Operands may be any strided views: the
 kernel reads the left one in place, and the right one is copied only when it
 is not C-contiguous, so no caller lays out an operand. A large product is
-split into contiguous shares of batch entries or output rows, one per usable
-CPU, each run by the calling thread or by a thread joined before the call
-returns, so every output element is still one thread's ascending-k sum.
+split into contiguous shares of batch entries or output rows, one per CPU
+the calling thread may run on (read per call), each run by the calling
+thread or by a thread joined before the call returns, so every output
+element is still one thread's ascending-k sum.
 """
 
 from __future__ import annotations
@@ -101,25 +102,26 @@ def _matmul_loops(a_t, b, out):
 _matmul_compiled = (numba.njit(cache=True, nogil=True)(_matmul_loops)
                     if numba else None)
 
-# CPUs this process may run on; a product is split only when its
-# accumulator fills at least half a block per thread, so small products
-# (whose many short ufunc calls would contend for the GIL) stay serial
-_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+def _usable_cpus():
+    # CPUs the calling thread may run on, read per call, so a thread pinned
+    # to one CPU runs every product serially
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _matmul_split(kernel, a_t, b, out):
+def _matmul_split(kernel, a_t, b, out, threads):
     # contiguous shares of batch entries, or of output rows when there are
     # fewer entries than threads; the caller runs the first share and a
     # thread of its own runs each other one. Every started thread is joined
     # before this returns or raises, so none outlives the call
     batch, _, m = a_t.shape
-    if batch >= _THREADS:
-        step = -(-batch // _THREADS)
+    if batch >= threads:
+        step = -(-batch // threads)
         shares = [(a_t[s:s + step], b[s:s + step], out[s:s + step])
                   for s in range(0, batch, step)]
     else:
-        step = -(-m // _THREADS)
+        step = -(-m // threads)
         shares = [(a_t[:, :, i:i + step], b, out[:, i:i + step])
                   for i in range(0, m, step)]
     errors = []
@@ -162,8 +164,12 @@ def batched_matmul(a, b) -> np.ndarray:
     b = np.ascontiguousarray(b)
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     kernel = _matmul_compiled or _matmul_numpy
-    if _THREADS > 1 and out.size >= _THREADS * (_BLOCK_BUDGET // 2):
-        _matmul_split(kernel, a_t, b, out)
+    # split only when the accumulator fills at least half a block per
+    # thread, so small products (whose many short ufunc calls would contend
+    # for the GIL) stay serial
+    threads = _usable_cpus()
+    if threads > 1 and out.size >= threads * (_BLOCK_BUDGET // 2):
+        _matmul_split(kernel, a_t, b, out, threads)
     else:
         kernel(a_t, b, out)
     return out

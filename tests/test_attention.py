@@ -222,6 +222,10 @@ def _extra_row(t):
     return np.concatenate([t, t[:1]])
 
 
+def _wider(t):
+    return np.concatenate([t, t[:, :1]], axis=1)
+
+
 def _nan_first(t):
     t = t.copy()
     t.flat[0] = np.nan
@@ -243,12 +247,12 @@ _ENTRY_POINTS = {
                    id=f"{name}-shape")
       for name in ("qkv_weight", "qkv_bias", "out_weight", "out_bias",
                    "rel_bias_table")),
+    pytest.param("rel_bias_table", _wider, ShapeError,
+                 "^rel_bias_table has shape", id="rel_bias_table-width"),
     pytest.param("rel_bias_table", _nan_first, ConfigError,
                  "^rel_bias_table contains", id="rel_bias_table-nan"),
 ])
 def test_invalid_params_rejected(entry, name, corrupt, error, message):
-    # one extra leading row keeps the table's width, so the bias expansion
-    # accepts it and the parameter check is what rejects it
     params = random_params(_PROJECT_CFG, np.random.default_rng(8))
     bad = dataclasses.replace(params, **{name: corrupt(getattr(params, name))})
     with pytest.raises(error, match=message):

@@ -426,11 +426,11 @@ def split_threads(request, monkeypatch):
     splits = []
     real_split = T._matmul_split
 
-    def recording_split(kernel, a_t, b, out):
+    def recording_split(kernel, a_t, b, out, threads):
         splits.append(out.shape)
-        real_split(kernel, a_t, b, out)
+        real_split(kernel, a_t, b, out, threads)
 
-    monkeypatch.setattr(T, "_THREADS", request.param)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: request.param)
     monkeypatch.setattr(T, "_matmul_split", recording_split)
     return splits
 
@@ -467,7 +467,7 @@ class TestSplitProducts:
         import chromapad.tensor_ops as T
 
         # m * n equals the gate exactly at m = 48 * threads, n = 1024
-        gate_rows = T._THREADS * (T._BLOCK_BUDGET // 2) // 1024
+        gate_rows = T._usable_cpus() * (T._BLOCK_BUDGET // 2) // 1024
         for m, splits in ((gate_rows - 1, 0), (gate_rows, 1)):
             a, b = random_operands(m, 1, m, 3, 1024)
             del split_threads[:]
@@ -485,7 +485,7 @@ class TestSplitProducts:
         import threading
         import chromapad.tensor_ops as T
 
-        monkeypatch.setattr(T, "_THREADS", 1)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
         started = []
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread))
@@ -493,6 +493,42 @@ class TestSplitProducts:
         got = batched_matmul(a, b)
         assert started == []
         assert got.tobytes() == serial_kernel_product(a, b).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_thread_pinned_to_one_cpu_starts_no_thread(self, monkeypatch):
+        import threading
+        import chromapad.tensor_ops as T
+
+        cpus = os.sched_getaffinity(0)
+        # an accumulator at the split gate for every CPU of this host
+        rows = len(cpus) * (T._BLOCK_BUDGET // 2) // 512
+        a, b = random_operands(12, 1, rows, 3, 512)
+        expected = serial_kernel_product(a, b).tobytes()
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            if thread.name == "chromapad-matmul":
+                started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        got = {}
+
+        def pinned():
+            os.sched_setaffinity(0, {min(cpus)})
+            got["out"] = batched_matmul(a, b).tobytes()
+
+        thread = threading.Thread(target=pinned)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert started == []
+        assert got["out"] == expected
+        # the same product splits in a thread that may use every CPU
+        assert batched_matmul(a, b).tobytes() == expected
+        assert len(started) == len(cpus) - 1
 
     def test_split_leaves_no_thread_running(self, split_threads):
         import threading
@@ -518,7 +554,7 @@ class TestSplitProducts:
             ran_on.append(threading.current_thread())
             # first output row of this share within the whole product
             start = (out.ctypes.data - out.base.ctypes.data) // out.strides[1]
-            if start == -(-out.base.shape[1] // T._THREADS):
+            if start == -(-out.base.shape[1] // T._usable_cpus()):
                 raise ShareFailure(start)
             real_kernel(a_t, b, out)
 
@@ -527,7 +563,7 @@ class TestSplitProducts:
         a, b = random_operands(6, 1, 301, 5, 500)
         with pytest.raises(ShareFailure):
             batched_matmul(a, b)
-        assert len(ran_on) == T._THREADS
+        assert len(ran_on) == T._usable_cpus()
         assert not any(t.is_alive() for t in ran_on
                        if t is not threading.current_thread())
 
@@ -575,7 +611,7 @@ class TestSplitProducts:
                                                  dtype=np.uint8))
                   for _ in range(2)]
         with monkeypatch.context() as serial:
-            serial.setattr(T, "_THREADS", 1)
+            serial.setattr(T, "_usable_cpus", lambda: 1)
             expected = [np.float64(forward(model, img)[0]).tobytes()
                         for img in images]
         assert not split_threads
