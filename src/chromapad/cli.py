@@ -11,32 +11,35 @@ to stdout (or --out); diagnostics go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import os
 import sys
 
 from .complexity import model_complexity
-from .errors import ChromapadError
+from .errors import ChromapadError, PpmParseError
 from .metrics import _APCER_CAPS, det_csv, evaluate_scores, read_scores_csv
-# not called here, but perfbench/tracing.py wraps these two at this module's
+# not called here, but perfbench/tracing.py wraps these at this module's
 # names, so they stay importable from it
 from .metrics import det_curve, write_det_csv  # noqa: F401
+from .model import read_tensor_file, write_tensor_file  # noqa: F401
 from .model import (
     ModelConfig,
     ablate,
     ablation_csv,
     forward_ppm,
+    iter_tensor_file,
     load_config,
     load_weights,
     read_json,
-    read_tensor_file,
     read_text,
     score_in_shares,
     scores_from_images,
-    write_tensor_file,
+    write_tensors,
 )
-from .quant import quantize_model
+from .quant import quantize_model  # noqa: F401
+from .quant import quantization_report, quantize_tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,7 +108,12 @@ def _cmd_infer(args):
 
     def score(path):
         with open(path, "rb") as fh:
-            return forward_ppm(model, fh.read())
+            data = fh.read()
+        try:
+            return forward_ppm(model, data)
+        except PpmParseError as exc:
+            raise PpmParseError(f"{path}: {exc.reason}", exc.offset) \
+                from None
 
     scores = score_in_shares(score, args.image)
     _emit("".join(f"{path},{value:.10g}\n"
@@ -125,10 +133,20 @@ def _cmd_eval(args):
 
 
 def _cmd_quantize(args):
-    tensors = read_tensor_file(args.weights)
+    # one tensor at a time: read, quantize, write, drop
     policy = tuple(args.policy) if args.policy else None
-    quantized, report = quantize_model(tensors, policy)
-    write_tensor_file(quantized, args.out)
+    rows = []
+
+    def quantized(tensors):
+        for name, value in tensors:
+            value, row = quantize_tensor(name, value, policy)
+            rows.append(row)
+            yield name, value
+            del value  # dropped before the next tensor is read
+
+    with contextlib.closing(iter_tensor_file(args.weights)) as tensors:
+        write_tensors(quantized(tensors), args.out)
+    report = quantization_report(rows)
     sys.stdout.write(json.dumps(report.to_json_dict()) + "\n")
     return EXIT_OK
 

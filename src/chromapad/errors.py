@@ -18,10 +18,12 @@ class SpaceError(ChromapadError):
 
 
 class PpmParseError(ChromapadError):
-    """Malformed PPM input; ``offset`` is the byte position of the problem."""
+    """Malformed PPM input; ``offset`` is the byte position of the problem
+    and ``reason`` the message without it."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
 
 

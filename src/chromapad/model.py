@@ -16,10 +16,17 @@ quantized payload is the int8 data followed by f_min, f_max, and scale as
 little-endian float32 and the zero point as little-endian int32. Tensors are
 written sorted by name, so saving is byte-deterministic.
 
-Weights stream between file and arrays: saving checks every tensor, then
-writes each payload from its array's own buffer, and loading checks each
-claimed payload against the bytes left in the file before reading it
-straight into a new array. Neither holds a second copy of the model.
+Weights stream between file and arrays, one tensor at a time. Reading
+makes a header pass that checks the whole file and notes where each payload
+lies, then reads each payload straight into a new array, in name order.
+Writing checks each tensor as it arrives and writes it from its array's own
+buffer into a new file beside the target, which replaces the target once
+every tensor is in. So ``chromapad quantize`` holds one tensor at a time,
+and a bad tensor leaves the target as it was.
+
+A model under dynamic quantization keeps its default-policy tensors as int8
+codes. `forward` hands each stage its parameters through `_ready`, which
+dequantizes those codes to float32 for that stage call alone.
 """
 
 from __future__ import annotations
@@ -61,7 +68,9 @@ from .quant import (
     DEFAULT_POLICY,
     QuantParams,
     QuantizedTensor,
+    _as_predicate,
     dequantize_f32,
+    dequantized_range,
     quantize_model,
 )
 from .tensor_ops import BatchNormParams
@@ -303,9 +312,11 @@ def tensor_layout(cfg: ModelConfig):
 class Model:
     """Configuration plus named weights, checked against the layer plan and
     made run-ready once, when built: under dynamic quantization float
-    default-policy tensors quantize, then quantized tensors dequantize and
-    float ones are shared. The mapping and every array are then read-only,
-    so `forward` runs what `save_weights` saves."""
+    default-policy tensors quantize. Quantized default-policy tensors stay
+    int8 codes, which `forward` dequantizes per stage call; any other
+    quantized tensor dequantizes here, and float ones are shared. The
+    mapping and every array are then read-only, so `forward` runs what
+    `save_weights` saves."""
 
     config: ModelConfig
     weights: dict = field(repr=False)  # read-only after construction
@@ -322,11 +333,12 @@ class Model:
         given = self.weights
         if self.config.dq_enabled:
             given, _ = quantize_model(given, DEFAULT_POLICY)
+        in_policy = _as_predicate(DEFAULT_POLICY)
         weights, ready = {}, {}
         for name, value in given.items():
             if not isinstance(value, QuantizedTensor):
                 value = np.asarray(value, np.float32)
-            weights[name] = arr = value
+            weights[name] = value
             if name not in shapes:
                 raise WeightFileError(
                     f"unexpected tensor {name!r} for this config")
@@ -340,13 +352,20 @@ class Model:
                     raise WeightFileError(f"tensor {name!r} has non-finite "
                                           f"quantization parameters")
                 value.qdata.flags.writeable = False
-                arr = dequantize_f32(value)
-            # min and max propagate NaN, and neither copies the tensor
-            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                low, high = dequantized_range(value)
+            else:
+                # min and max propagate NaN, and neither copies the tensor
+                low, high = value.min(), value.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
                 raise WeightFileError(f"tensor {name!r} holds non-finite "
                                       f"values")
-            arr.flags.writeable = False
-            ready[name] = arr
+            if isinstance(value, QuantizedTensor) and not in_policy(name):
+                # only a custom policy quantizes these, and the batch-norm
+                # and residual parameters check their float values at build
+                value = dequantize_f32(value)
+            if not isinstance(value, QuantizedTensor):
+                value.flags.writeable = False
+            ready[name] = value
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "_stages",
                            _stage_params(self.config, plan, ready))
@@ -382,14 +401,55 @@ def _stage_params(cfg, plan, arrays):
     return branches, args(plan.fusion), residual, args(plan.classifier)
 
 
+def _ready(params):
+    """``params`` as the kernels take them: each `QuantizedTensor` in it, at
+    any depth of lists, tuples and dataclasses, dequantized to a new float32
+    array that lives only as long as the stage call it is passed to. What
+    holds no quantized tensor is returned as it is."""
+    if isinstance(params, (np.ndarray, BatchNormParams)):  # float32 always
+        return params
+    if isinstance(params, QuantizedTensor):
+        return dequantize_f32(params)
+    if isinstance(params, (list, tuple)):
+        ready = [_ready(p) for p in params]
+        if all(r is p for r, p in zip(ready, params)):
+            return params
+        return type(params)(ready)
+    if is_dataclass(params):
+        changed = {}
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if (new := _ready(value)) is not value:
+                changed[f.name] = new
+        return replace(params, **changed) if changed else params
+    return params
+
+
+def _physical_memory():
+    """Bytes of physical memory on this host, or None where unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def build_model(cfg: ModelConfig) -> Model:
     """Deterministically initialize a model from the config seed.
 
-    A uniform tensor is drawn `_DRAW_CHUNK` values at a time into its
-    float32 array; a PCG64 stream drawn in pieces equals one draw."""
+    A config whose float32 weights would not fit in the host's physical
+    memory raises `ConfigError` before anything is allocated. A uniform
+    tensor is drawn `_DRAW_CHUNK` values at a time into its float32 array;
+    a PCG64 stream drawn in pieces equals one draw."""
+    specs = tensor_layout(cfg)
+    need = 4 * sum(math.prod(spec.shape) for spec in specs)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(f"config needs {need} bytes of float32 weights, "
+                          f"more than the host's {have} bytes of physical "
+                          f"memory")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     weights = {}
-    for spec in tensor_layout(cfg):
+    for spec in specs:
         if spec.init == "uniform":
             bound = 1.0 / math.sqrt(math.prod(spec.shape[1:]))
             weights[spec.name] = arr = np.empty(spec.shape, np.float32)
@@ -420,10 +480,10 @@ def forward(model: Model, img: ColorImage, want_debug: bool = False):
     branch_tokens = []
     for space, backbone, bottleneck, attention in branches:
         x = image_to_tensor(convert(img, space))
-        feats = backbone_forward(x, backbone)
-        tokens = bottleneck_project(feats, *bottleneck)
+        feats = backbone_forward(x, _ready(backbone))
+        tokens = bottleneck_project(feats, *_ready(bottleneck))
         if attention is not None:
-            tokens = multi_head_window_attention(tokens, attention,
+            tokens = multi_head_window_attention(tokens, _ready(attention),
                                                  cfg.attention_config)
         branch_tokens.append(tokens)
         if want_debug:
@@ -431,15 +491,15 @@ def forward(model: Model, img: ColorImage, want_debug: bool = False):
                 "features": feats, "tokens": tokens,
             }
 
-    fused = fuse_branches(branch_tokens, *fusion)
+    fused = fuse_branches(branch_tokens, *_ready(fusion))
     if want_debug:
         debug["fused"] = fused
 
     if residual is not None:
-        fused, trace = nested_residual_forward(fused, residual)
+        fused, trace = nested_residual_forward(fused, _ready(residual))
         if want_debug:
             debug["residual_trace"] = trace
-    probs = classifier_head(fused, *classifier)
+    probs = classifier_head(fused, *_ready(classifier))
     if want_debug:
         debug["probabilities"] = probs
     return float(probs[0]), debug
@@ -553,44 +613,82 @@ _DTYPE_QINT8 = 1
 
 
 def write_tensor_file(tensors, path):
-    """Write a named tensor set in the CFPA format, sorted by name.
+    """Write a named tensor set in the CFPA format, sorted by name."""
+    write_tensors(((name, tensors[name]) for name in sorted(tensors)), path)
 
-    Every tensor is checked before the file is opened, so a bad one leaves
-    no file behind; each payload is then written from the array's own
-    buffer, without a copy."""
-    parts = []
-    for name in sorted(tensors):
-        value = tensors[name]
-        encoded = name.encode("utf-8")
-        trailer = b""
-        if isinstance(value, QuantizedTensor):
-            p = value.params
-            if not -2**31 <= p.zero_point < 2**31:
-                raise WeightFileError(
-                    f"zero point {p.zero_point} of tensor {name!r} does not "
-                    f"fit in int32"
-                )
-            code, payload = _DTYPE_QINT8, np.asarray(value.qdata, order="C")
-            trailer = struct.pack("<fffi", p.f_min, p.f_max, p.scale,
-                                  p.zero_point)
-        else:
-            code, payload = _DTYPE_F32, np.asarray(value, "<f4", order="C")
-        head = struct.pack(f"<I{len(encoded)}sBB{payload.ndim}Q",
-                           len(encoded), encoded, code, payload.ndim,
-                           *payload.shape)
-        parts.append((head, payload, trailer))
-    with open(path, "wb") as fh:
-        fh.write(WEIGHT_MAGIC + struct.pack("<II", WEIGHT_VERSION, len(parts)))
-        for head, payload, trailer in parts:
-            fh.write(head)
-            fh.write(payload)
-            fh.write(trailer)
+
+def write_tensors(tensors, path):
+    """Write (name, value) pairs as a CFPA file at ``path``, in the order
+    given.
+
+    Each tensor is checked and written as it arrives, from the array's own
+    buffer, into a new file beside ``path`` that replaces ``path`` once the
+    last one is in. A tensor that fails leaves ``path`` as it was and no
+    other file behind, and the pairs may be read from ``path`` itself."""
+    fh, tmp = _create_beside(path)
+    try:
+        with fh:
+            fh.write(WEIGHT_MAGIC + struct.pack("<II", WEIGHT_VERSION, 0))
+            count = 0
+            for name, value in tensors:
+                _write_tensor(fh, name, value)
+                count += 1
+                del value  # dropped before the next pair is made
+            fh.seek(len(WEIGHT_MAGIC) + 4)  # the tensor count, now known
+            fh.write(struct.pack("<I", count))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _create_beside(path):
+    """A new file in the directory of ``path``, opened for writing and
+    created as `open` creates one (mode 0o666 less the umask), and its
+    path."""
+    head, tail = os.path.split(os.fspath(path))
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            return open(tmp, "xb"), tmp
+        except FileExistsError:
+            continue
+
+
+def _write_tensor(fh, name, value):
+    encoded = name.encode("utf-8")
+    trailer = b""
+    if isinstance(value, QuantizedTensor):
+        p = value.params
+        if not -2**31 <= p.zero_point < 2**31:
+            raise WeightFileError(
+                f"zero point {p.zero_point} of tensor {name!r} does not "
+                f"fit in int32"
+            )
+        code, payload = _DTYPE_QINT8, np.asarray(value.qdata, order="C")
+        trailer = struct.pack("<fffi", p.f_min, p.f_max, p.scale,
+                              p.zero_point)
+    else:
+        code, payload = _DTYPE_F32, np.asarray(value, "<f4", order="C")
+    fh.write(struct.pack(f"<I{len(encoded)}sBB{payload.ndim}Q",
+                         len(encoded), encoded, code, payload.ndim,
+                         *payload.shape))
+    fh.write(payload)
+    fh.write(trailer)
+
+
+def _new_array(dtype, shape, name):
+    try:
+        return np.empty(shape, dtype)
+    except ValueError:  # a zero extent beside extents too large to span
+        raise WeightFileError(f"tensor {name!r} has extents {shape} that "
+                              f"no array can hold") from None
 
 
 class _Reader:
-    """Position-tracked reads from a binary stream of ``size`` bytes; each
-    read is checked against the bytes left before anything is read or
-    allocated for it."""
+    """Position-tracked reads from a seekable binary stream of ``size``
+    bytes; each read is checked against the bytes left before anything is
+    read or allocated for it."""
 
     def __init__(self, fh, size):
         self.fh = fh
@@ -616,36 +714,70 @@ class _Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def take_array(self, dtype, shape, name):
-        """The payload of tensor ``name``, read straight into its array."""
-        what = f"payload of {name!r}"
+    def skip_array(self, dtype, shape, name):
+        """Check the payload of tensor ``name`` and step past it unread;
+        returns its byte offset."""
         n = math.prod(shape) * np.dtype(dtype).itemsize
-        self._check(n, what)
-        try:
-            arr = np.empty(shape, dtype)
-        except ValueError:  # a zero extent beside extents too large to span
-            raise WeightFileError(f"tensor {name!r} has extents {shape} that "
-                                  f"no array can hold") from None
-        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != n:
-            raise self._truncated(what)
+        self._check(n, f"payload of {name!r}")
+        if n == 0:
+            _new_array(dtype, shape, name)  # allocates nothing
+        offset = self.pos
+        self.fh.seek(n, io.SEEK_CUR)
         self.pos += n
+        return offset
+
+    def read_array(self, dtype, shape, name, offset):
+        """The payload of tensor ``name`` at ``offset``, read straight into
+        its array."""
+        self.fh.seek(offset)
+        self.pos = offset
+        arr = _new_array(dtype, shape, name)
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise self._truncated(f"payload of {name!r}")
+        self.pos += arr.nbytes
         return arr
 
 
 def read_tensor_file(path):
-    """Read a CFPA tensor file into an ordered name -> value mapping.
+    """Read a CFPA tensor file into a name -> value mapping, in name
+    order."""
+    return dict(iter_tensor_file(path))
 
-    Each payload is read straight into its own array; a path that is not a
-    regular file, such as a pipe, is read whole first."""
+
+def iter_tensor_file(path):
+    """Yield the tensors of CFPA file ``path`` as (name, value) pairs in
+    name order, reading one payload at a time straight into its array.
+
+    A header pass first runs every check over the whole file without
+    reading a payload, so a bad file raises before the first pair. Where a
+    name repeats, its last tensor counts. A path that is not a regular
+    file, such as a pipe, is read whole first."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
-            return _read_tensors(_Reader(fh, st.st_size))
+            yield from _iter_tensors(_Reader(fh, st.st_size))
+            return
         data = fh.read()
-    return _read_tensors(_Reader(io.BytesIO(data), len(data)))
+    yield from _iter_tensors(_Reader(io.BytesIO(data), len(data)))
 
 
-def _read_tensors(r):
+def _iter_tensors(r):
+    entries = _header_pass(r)
+    for name in sorted(entries):
+        shape, offset, params = entries[name]
+        if params is None:
+            # native order for the kernels: no copy on a little-endian host
+            yield name, r.read_array("<f4", shape, name, offset).astype(
+                np.float32, copy=False)
+        else:
+            yield name, QuantizedTensor(
+                qdata=r.read_array(np.int8, shape, name, offset),
+                params=params)
+
+
+def _header_pass(r):
+    """name -> (shape, payload offset, quantization params or None for a
+    float tensor) of every tensor, each checked as the file is read."""
     magic = r.take(4, "magic")
     if magic != WEIGHT_MAGIC:
         raise WeightFileError(
@@ -656,7 +788,7 @@ def _read_tensors(r):
         raise WeightFileError(
             f"unsupported version {version}, expected {WEIGHT_VERSION}"
         )
-    tensors = {}
+    entries = {}
     for _ in range(count):
         (name_len,) = r.unpack("<I", "name length")
         raw_name = r.take(name_len, "tensor name")
@@ -672,11 +804,9 @@ def _read_tensors(r):
             raise WeightFileError(f"tensor {name!r} has invalid rank {rank}")
         shape = r.unpack(f"<{rank}Q", f"extents of {name!r}")
         if dtype == _DTYPE_F32:
-            # native order for the kernels: no copy on a little-endian host
-            tensors[name] = r.take_array("<f4", shape, name).astype(
-                np.float32, copy=False)
+            entries[name] = (shape, r.skip_array("<f4", shape, name), None)
         elif dtype == _DTYPE_QINT8:
-            qdata = r.take_array(np.int8, shape, name)
+            offset = r.skip_array(np.int8, shape, name)
             f_min, f_max, scale, zero = r.unpack(
                 "<fffi", f"quant params of {name!r}")
             try:
@@ -684,12 +814,12 @@ def _read_tensors(r):
                                      scale=float(scale), zero_point=int(zero))
             except QuantizationError as exc:
                 raise WeightFileError(f"tensor {name!r}: {exc}") from None
-            tensors[name] = QuantizedTensor(qdata=qdata, params=params)
+            entries[name] = (shape, offset, params)
         else:
             raise WeightFileError(
                 f"tensor {name!r} has unknown dtype code {dtype}"
             )
-    return tensors
+    return entries
 
 
 def save_weights(model: Model, path):

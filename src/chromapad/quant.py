@@ -17,6 +17,12 @@ Both formulas are elementwise, so `quantize` and `dequantize_f32` evaluate
 them in double precision over fixed-size pieces of the flattened tensor and
 write each piece straight into the int8 or float32 result: no float64 copy
 of the whole tensor is made, and the bits equal one whole-tensor evaluation.
+Reconstruction is monotone in q, so `dequantized_range` reads the float32
+extremes of a tensor from its two extreme codes.
+
+`quantize_tensor` is the one per-tensor step: `quantize_model` runs it over
+a mapping, and ``chromapad quantize`` over a weight file streamed one tensor
+at a time.
 """
 
 from __future__ import annotations
@@ -118,7 +124,12 @@ def quantize(f, params: QuantParams) -> QuantizedTensor:
         x = piece.astype(np.float64)
         x -= params.f_min
         x /= params.scale
-        x = _round_half_away(x)
+        # `_round_half_away` in place: the sign is the only other buffer
+        sign = np.sign(x)
+        np.abs(x, out=x)
+        x += 0.5
+        np.floor(x, out=x)
+        x *= sign
         x -= 128.0
         out[...] = np.clip(x, -128, 127, out=x)
     return QuantizedTensor(qdata=q, params=params)
@@ -150,6 +161,18 @@ def dequantize_f32(qt: QuantizedTensor) -> np.ndarray:
         x += qt.params.f_min
         dst[...] = x
     return out
+
+
+def dequantized_range(qt: QuantizedTensor):
+    """The least and greatest values of `dequantize_f32` of ``qt``, from its
+    least and greatest codes alone: with S > 0, (q + 128) * S + f_min and
+    its rounding to float32 never decrease as q grows, so the extremes are
+    finite exactly when every value is. A value past the float32 range is
+    returned as an infinity, without an overflow warning."""
+    ends = np.array([qt.qdata.min(), qt.qdata.max()], np.int8)
+    with np.errstate(over="ignore"):
+        low, high = dequantize_f32(QuantizedTensor(ends, qt.params))
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -217,63 +240,71 @@ def _as_predicate(policy):
     return lambda name: any(fnmatch.fnmatchcase(name, p) for p in patterns)
 
 
+def quantize_tensor(name, value, policy=None):
+    """One named tensor through the quantizer: (the value to store, its
+    report row).
+
+    A float tensor that ``policy`` matches quantizes, with its error
+    measured against the float64 reconstruction, so the peak is the float32
+    tensor, its int8 codes and one float64 buffer of its size. A quantized
+    tensor passes through with zero error, and an unmatched float one as
+    float32. ``policy`` is as for `quantize_model`.
+    """
+    if isinstance(value, QuantizedTensor):
+        n = value.qdata.size
+        return value, TensorQuantReport(
+            name=name, quantized=True, elements=n,
+            bytes_before=n + PARAM_OVERHEAD_BYTES,
+            bytes_after=n + PARAM_OVERHEAD_BYTES,
+            scale=value.params.scale, zero_point=value.params.zero_point,
+            max_abs_error=0.0, mean_abs_error=0.0,
+        )
+    arr = np.asarray(value, np.float32)
+    n = arr.size
+    if not _as_predicate(policy)(name):
+        return arr, TensorQuantReport(
+            name=name, quantized=False, elements=n,
+            bytes_before=4 * n, bytes_after=4 * n,
+        )
+    try:
+        params = compute_quant_params(arr)
+    except QuantizationError as exc:
+        raise QuantizationError(f"tensor {name!r}: {exc}") from None
+    qt = quantize(arr, params)
+    # one float64 buffer: the reconstruction, then its error
+    err = dequantize(qt)
+    np.subtract(err, arr, out=err)
+    np.abs(err, out=err)
+    return qt, TensorQuantReport(
+        name=name, quantized=True, elements=n,
+        bytes_before=4 * n,
+        bytes_after=n + PARAM_OVERHEAD_BYTES,
+        scale=params.scale, zero_point=params.zero_point,
+        max_abs_error=float(err.max()),
+        mean_abs_error=float(err.mean()),
+    )
+
+
+def quantization_report(rows) -> QuantizationReport:
+    """The report over the `quantize_tensor` rows of a weight set. A policy
+    that quantized nothing is a warning, not an error."""
+    notes = ()
+    if not any(row.quantized for row in rows):
+        warnings.warn("quantization policy matched no tensors", stacklevel=3)
+        notes = ("policy matched no tensors",)
+    return QuantizationReport(tensors=tuple(rows), notes=notes)
+
+
 def quantize_model(weights, policy=None):
     """Quantize every policy-matched tensor in a named weight set.
 
     ``weights`` maps names to float32 arrays (already-quantized entries pass
     through untouched). ``policy`` is a sequence of fnmatch patterns or a
     predicate on names; ``None`` selects `DEFAULT_POLICY`. Returns the new
-    mapping and a `QuantizationReport`. A policy matching nothing is a
-    warning, not an error.
+    mapping, in name order, and a `QuantizationReport`.
     """
-    match = _as_predicate(policy)
-    out = {}
-    rows = []
-    matched_any = False
+    out, rows = {}, []
     for name in sorted(weights):
-        value = weights[name]
-        if isinstance(value, QuantizedTensor):
-            n = value.qdata.size
-            out[name] = value
-            rows.append(TensorQuantReport(
-                name=name, quantized=True, elements=n,
-                bytes_before=n + PARAM_OVERHEAD_BYTES,
-                bytes_after=n + PARAM_OVERHEAD_BYTES,
-                scale=value.params.scale, zero_point=value.params.zero_point,
-                max_abs_error=0.0, mean_abs_error=0.0,
-            ))
-            matched_any = True
-            continue
-        arr = np.asarray(value, np.float32)
-        n = arr.size
-        if match(name):
-            matched_any = True
-            try:
-                params = compute_quant_params(arr)
-            except QuantizationError as exc:
-                raise QuantizationError(f"tensor {name!r}: {exc}") from None
-            qt = quantize(arr, params)
-            # one float64 buffer: the reconstruction, then its error
-            err = dequantize(qt)
-            np.subtract(err, arr, out=err)
-            np.abs(err, out=err)
-            rows.append(TensorQuantReport(
-                name=name, quantized=True, elements=n,
-                bytes_before=4 * n,
-                bytes_after=n + PARAM_OVERHEAD_BYTES,
-                scale=params.scale, zero_point=params.zero_point,
-                max_abs_error=float(err.max()),
-                mean_abs_error=float(err.mean()),
-            ))
-            out[name] = qt
-        else:
-            rows.append(TensorQuantReport(
-                name=name, quantized=False, elements=n,
-                bytes_before=4 * n, bytes_after=4 * n,
-            ))
-            out[name] = arr
-    notes = []
-    if not matched_any:
-        warnings.warn("quantization policy matched no tensors", stacklevel=2)
-        notes.append("policy matched no tensors")
-    return out, QuantizationReport(tensors=tuple(rows), notes=tuple(notes))
+        out[name], row = quantize_tensor(name, weights[name], policy)
+        rows.append(row)
+    return out, quantization_report(rows)

@@ -4,6 +4,8 @@ import json
 import os
 import struct
 import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,7 @@ from chromapad.model import (
     save_weights,
     write_tensor_file,
 )
-from chromapad.quant import QuantizedTensor, quantize_model
+from chromapad.quant import QuantizedTensor, QuantParams, quantize_model
 
 
 @pytest.fixture
@@ -164,6 +166,30 @@ class TestInfer:
         captured = capsys.readouterr()
         assert rc == EXIT_DATA
         assert repr(name) in captured.err and captured.out == ""
+
+    def test_dequantized_overflow_exits_2_with_one_message(self, workspace,
+                                                           capsys):
+        # finite codes and parameters whose float32 values overflow:
+        # (127 + 128) * 3e36 exceeds the largest float32
+        tensors, _ = quantize_model(read_tensor_file(workspace["weights"]))
+        name = "fusion.mix_weight"
+        tensors[name] = QuantizedTensor(
+            qdata=np.full(tensors[name].shape, 127, np.int8),
+            params=QuantParams(f_min=0.0, f_max=1.0, scale=3e36,
+                               zero_point=0))
+        bad = workspace["dir"] / "bad.cfpa"
+        write_tensor_file(tensors, bad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["infer", "--config", str(workspace["config"]),
+                       "--weights", str(bad),
+                       "--image", str(workspace["images"][0])])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert [str(w.message) for w in caught] == []
+        assert captured.err == (f"chromapad infer: tensor {name!r} holds "
+                                f"non-finite values\n")
+        assert captured.out == ""
 
     def infer_rejects(self, workspace, capsys, weights, what):
         rc = main(["infer", "--config", str(workspace["config"]),
@@ -335,6 +361,90 @@ class TestQuantize:
         assert rc == EXIT_DATA
         assert "tensor 'a' has extents" in capsys.readouterr().err
         assert not (workspace["dir"] / "out.cfpa").exists()
+
+    def quantize(self, src, out, capsys):
+        rc = main(["quantize", "--weights", str(src), "--out", str(out)])
+        return rc, capsys.readouterr()
+
+    def test_output_matches_library_quantization(self, workspace, capsys):
+        out = workspace["dir"] / "quant.cfpa"
+        rc, captured = self.quantize(workspace["weights"], out, capsys)
+        assert rc == EXIT_OK
+        quantized, report = quantize_model(
+            read_tensor_file(workspace["weights"]))
+        want = workspace["dir"] / "want.cfpa"
+        write_tensor_file(quantized, want)
+        assert out.read_bytes() == want.read_bytes()
+        assert captured.out == json.dumps(report.to_json_dict()) + "\n"
+
+    def test_out_may_be_the_input(self, workspace, capsys):
+        want = workspace["dir"] / "want.cfpa"
+        assert self.quantize(workspace["weights"], want, capsys)[0] == EXIT_OK
+        rc, _ = self.quantize(workspace["weights"], workspace["weights"],
+                              capsys)
+        assert rc == EXIT_OK
+        assert workspace["weights"].read_bytes() == want.read_bytes()
+        assert not [n for n in os.listdir(workspace["dir"])
+                    if n.endswith(".tmp")]
+
+    def bad_tensor(self, workspace, monkeypatch, kind):
+        """A weight file, or a quantizer, that fails on
+        ``fusion.mix_weight``, sorted after tensors already written."""
+        name = "fusion.mix_weight"
+        if kind == "non_finite":
+            tensors = read_tensor_file(workspace["weights"])
+            tensors[name][0, 0] = np.nan
+            bad = workspace["dir"] / "nan.cfpa"
+            write_tensor_file(tensors, bad)
+            return bad, "cannot quantize a tensor with non-finite values"
+        import chromapad.cli as cli
+
+        real = cli.quantize_tensor
+
+        def wide(tensor, value, policy):
+            value, row = real(tensor, value, policy)
+            if tensor == name:
+                value = replace(value, params=replace(value.params,
+                                                      zero_point=2**31))
+            return value, row
+
+        monkeypatch.setattr(cli, "quantize_tensor", wide)
+        return workspace["weights"], "does not fit in int32"
+
+    @pytest.mark.parametrize("kind", ["non_finite", "zero_point"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failing_tensor_leaves_out_as_it_was(self, workspace, capsys,
+                                                 monkeypatch, kind, existing):
+        bad, message = self.bad_tensor(workspace, monkeypatch, kind)
+        out = workspace["dir"] / "out.cfpa"
+        if existing:
+            out.write_bytes(b"an earlier output")
+        before = sorted(os.listdir(workspace["dir"]))
+        rc, captured = self.quantize(bad, out, capsys)
+        assert rc == EXIT_DATA
+        assert "'fusion.mix_weight'" in captured.err
+        assert message in captured.err and captured.out == ""
+        assert sorted(os.listdir(workspace["dir"])) == before
+        if existing:
+            assert out.read_bytes() == b"an earlier output"
+
+    def test_fifo_input(self, workspace, capsys):
+        want = workspace["dir"] / "want.cfpa"
+        assert self.quantize(workspace["weights"], want, capsys)[0] == EXIT_OK
+        fifo = workspace["dir"] / "model.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(workspace["weights"].read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out = workspace["dir"] / "piped.cfpa"
+        rc, _ = self.quantize(fifo, out, capsys)
+        writer.join(timeout=10)
+        assert rc == EXIT_OK and not writer.is_alive()
+        assert out.read_bytes() == want.read_bytes()
 
     def test_policy_flag(self, workspace, capsys):
         out_path = workspace["dir"] / "quant.cfpa"
@@ -527,6 +637,18 @@ class TestAblate:
         # "bona[1]" as a pattern would match only a directory "bona1"
         assert self.run_image_dirs(workspace, "bona[1]", "atk[*]") == EXIT_OK
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
+
+    def test_model_larger_than_memory_exits_2(self, workspace, capsys,
+                                              monkeypatch):
+        import chromapad.model as M
+
+        need = 4 * sum(int(np.prod(s.shape))
+                       for s in M.tensor_layout(workspace["cfg"]))
+        monkeypatch.setattr(M, "_physical_memory", lambda: need - 1)
+        assert self.run_image_dirs(workspace, "bona", "atk") == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"{need} bytes" in captured.err
+        assert f"{need - 1} bytes" in captured.err and captured.out == ""
 
 
 class TestTextInputs:

@@ -1,9 +1,13 @@
 """End-to-end model tests: build, forward, serialization, ablation."""
 
+import contextlib
+import io
+import json
 import os
 import struct
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,8 +48,10 @@ from chromapad.model import (
     write_tensor_file,
 )
 from chromapad.metrics import ScoreSet, synth_scores
+from chromapad.cli import main as cli_main
 from chromapad.quant import (QuantizedTensor, QuantParams,
-                             compute_quant_params, dequantize_f32, quantize)
+                             compute_quant_params, dequantize_f32, quantize,
+                             quantize_model)
 from chromapad.colorspace import to_ppm_bytes
 from chromapad.tensor_ops import BatchNormParams
 
@@ -287,7 +293,7 @@ class TestForward:
         assert Model(cfg, weights).weights["classifier.bias"] is \
             weights["classifier.bias"]
 
-    def test_forward_runs_no_dequantization(self, monkeypatch):
+    def test_forward_dequantizes_each_policy_tensor_once(self, monkeypatch):
         import chromapad.model as M
 
         calls = []
@@ -298,12 +304,14 @@ class TestForward:
 
         monkeypatch.setattr(M, "dequantize_f32", counted)
         m = build_model(small_config(dq_enabled=True))
-        quantized = sum(isinstance(v, QuantizedTensor)
-                        for v in m.weights.values())
-        assert quantized > 0 and len(calls) == quantized
-        forward(m, random_image(16))
-        forward(m, random_image(16, seed=1))
-        assert len(calls) == quantized
+        quantized = [v for v in m.weights.values()
+                     if isinstance(v, QuantizedTensor)]
+        # built int8, dequantized by no one until a stage runs
+        assert len(quantized) > 0 and calls == []
+        for seed in range(2):
+            forward(m, random_image(16, seed=seed))
+            assert sorted(map(id, calls)) == sorted(map(id, quantized))
+            calls.clear()
 
     def test_score_in_unit_interval_and_deterministic(self):
         m = build_model(small_config())
@@ -557,6 +565,54 @@ class TestSerialization:
                                bad_name: bad_value}, path)
         assert not path.exists()
 
+    @staticmethod
+    def entry(tmp_path, name, value):
+        """The bytes of one tensor's entry in a CFPA file."""
+        path = tmp_path / "one.cfpa"
+        write_tensor_file({name: value}, path)
+        return path.read_bytes()[12:]
+
+    def test_repeated_name_keeps_last_tensor(self, tmp_path, capsys):
+        first = np.arange(6, dtype=np.float32).reshape(2, 3)
+        last = -first
+        other = quantize(first, compute_quant_params(first))
+        path = tmp_path / "repeated.cfpa"
+        path.write_bytes(b"CFPA" + struct.pack("<II", 1, 3)
+                         + self.entry(tmp_path, "b", first)
+                         + self.entry(tmp_path, "a", other)
+                         + self.entry(tmp_path, "b", last))
+        tensors = read_tensor_file(path)
+        assert list(tensors) == ["a", "b"]
+        assert tensors["b"].tobytes() == last.tobytes()
+        assert tensors["a"].qdata.tobytes() == other.qdata.tobytes()
+        # chromapad quantize gives the bytes of the mapping it read
+        out, want = tmp_path / "out.cfpa", tmp_path / "want.cfpa"
+        assert cli_main(["quantize", "--weights", str(path), "--out",
+                         str(out), "--policy", "*"]) == 0
+        quantized, report = quantize_model(tensors, "*")
+        write_tensor_file(quantized, want)
+        assert out.read_bytes() == want.read_bytes()
+        assert capsys.readouterr().out == \
+            json.dumps(report.to_json_dict()) + "\n"
+
+    def test_repeated_name_checks_every_entry(self, tmp_path):
+        f = np.ones(3, np.float32)
+        bad = bytearray(self.entry(tmp_path, "b", f))
+        bad[4 + 1] = 7  # the dtype code after the 4-byte length and "b"
+        path = tmp_path / "repeated.cfpa"
+        path.write_bytes(b"CFPA" + struct.pack("<II", 1, 2) + bytes(bad)
+                         + self.entry(tmp_path, "b", f))
+        with pytest.raises(WeightFileError,
+                           match="tensor 'b' has unknown dtype code 7"):
+            read_tensor_file(path)
+
+    def test_writer_leaves_only_the_target(self, tmp_path):
+        good = {"a": np.ones(4, np.float32)}
+        path = tmp_path / "model.cfpa"
+        write_tensor_file(good, path)
+        assert os.listdir(tmp_path) == ["model.cfpa"]
+        assert read_tensor_file(path)["a"].tobytes() == good["a"].tobytes()
+
     def test_fifo_loads_as_file(self, tmp_path):
         cfg = small_config(dq_enabled=True)
         path = tmp_path / "model.cfpa"
@@ -629,6 +685,64 @@ class TestWeightMemory:
         _, peak = self.traced_peak(
             lambda: save_weights(model, tmp_path / "model.cfpa"))
         assert peak < 1 << 20
+
+    def test_quantize_holds_one_tensor_at_a_time(self, tmp_path):
+        src, out = tmp_path / "model.cfpa", tmp_path / "int8.cfpa"
+        save_weights(build_model(self.CONFIG), src)
+        argv = ["quantize", "--weights", str(src), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            rc, peak = self.traced_peak(lambda: cli_main(argv))
+        assert rc == 0
+        # one tensor's float32 values, plus its int8 codes and float64
+        # error buffer where it quantizes
+        one = max((4 + 1 + 8) * row["elements"] if row["quantized"]
+                  else 4 * row["elements"]
+                  for row in json.loads(report.getvalue())["tensors"])
+        assert 4 * sum(int(np.prod(s.shape)) for s in
+                       tensor_layout(self.CONFIG)) > one + (1 << 20)
+        assert peak <= one + (1 << 20)
+
+    def test_dq_model_holds_int8_codes(self, tmp_path):
+        cfg = replace(self.CONFIG, dq_enabled=True)
+        path = tmp_path / "int8.cfpa"
+        save_weights(build_model(cfg), path)
+        tracemalloc.start()
+        try:
+            model = load_weights(path, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        codes = [v for v in model.weights.values()
+                 if isinstance(v, QuantizedTensor)]
+        floats = [v for v in model.weights.values()
+                  if not isinstance(v, QuantizedTensor)]
+        assert sum(4 * q.qdata.size for q in codes) > 1 << 20
+        assert held <= sum(q.qdata.nbytes for q in codes) \
+            + sum(f.nbytes for f in floats) + (1 << 20)
+
+    def test_oversized_config_refused_before_allocating(self, monkeypatch):
+        import chromapad.model as M
+
+        need = 4 * sum(int(np.prod(s.shape))
+                       for s in tensor_layout(self.CONFIG))
+        monkeypatch.setattr(M, "_physical_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"needs {need} bytes .* "
+                               f"host's {need - 1} bytes of physical memory"):
+                build_model(self.CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # the layer plan, no tensor
+        monkeypatch.setattr(M, "_physical_memory", lambda: need)
+        build_model(self.CONFIG)
+
+    def test_physical_memory_known_here(self):
+        import chromapad.model as M
+
+        have = M._physical_memory()
+        assert have is None or have > 0
 
     def test_read_allocates_payload_plus_one_mib(self, tmp_path):
         path = tmp_path / "model.cfpa"

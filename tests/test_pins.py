@@ -11,10 +11,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chromapad
 from chromapad import blocks
 from chromapad.colorspace import ColorImage, ColorSpace
 from chromapad.complexity import model_complexity
@@ -115,6 +119,50 @@ def test_paper_quantization_pinned(paper_float_file, tmp_path):
             digest.update(dequantize_f32(quantized[name]).tobytes())
     assert digest.hexdigest() == (
         "ccffa7d61c3278fc6127fb29792ef58ead4eaf0c1ba674b4b98a90871b7000c4")
+
+
+# run in a fresh interpreter: the report line, then "exit code, RSS peak
+# after import, RSS peak at exit", both in ru_maxrss units. An exec'd
+# process inherits the RSS peak of the one that started it, so the command
+# runs in a child forked after import, whose peak starts from there.
+_QUANTIZE_SCRIPT = """
+import os, resource, sys
+from chromapad.cli import main
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rc = main(sys.argv[1:])
+print(rc, base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_paper_cli_quantize_streams_to_pinned_bytes(paper_float_file,
+                                                    tmp_path):
+    # chromapad quantize writes the file and report that
+    # test_paper_quantization_pinned pins, holding one tensor at a time:
+    # its peak RSS stays below its RSS after import plus the float file
+    pytest.importorskip("resource")
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    out = tmp_path / "paper_int8.cfpa"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        chromapad.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _QUANTIZE_SCRIPT, "quantize",
+         "--weights", str(paper_float_file), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report, status = proc.stdout.splitlines()
+    rc, base, peak = map(int, status.split())
+    assert rc == 0
+    assert _sha(report.encode()) == (
+        "75d94ed849a74e6845d9d010058200b62db939610b70c3989dfa62600c5b8e29")
+    assert _file_sha(out) == (
+        "3442e20179d2772ad1d337c76fe19e0b75ed2116bcac6832dbac5666e508da6e")
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in KiB
+    assert (peak - base) * unit < os.path.getsize(paper_float_file)
 
 
 def _image(seed):

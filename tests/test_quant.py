@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from chromapad.quant import (
     DEFAULT_POLICY,
     PARAM_OVERHEAD_BYTES,
     QuantParams,
+    QuantizedTensor,
     compute_quant_params,
     dequantize,
     dequantize_f32,
+    dequantized_range,
     quantize,
     quantize_model,
 )
@@ -62,6 +65,25 @@ class TestParams:
 
 
 class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.floats(-2.0**100, 2.0**100, width=32),
+           st.floats(2.0**-100, 2.0**123, width=32))
+    def test_dequantized_range_is_that_of_every_value(self, seed, f_min,
+                                                      scale):
+        rng = np.random.default_rng(seed)
+        qt = QuantizedTensor(
+            rng.integers(-128, 128, rng.integers(1, 300), dtype=np.int8),
+            QuantParams(f_min=f_min, f_max=f_min + 255 * scale, scale=scale,
+                        zero_point=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes
+            low, high = dequantized_range(qt)
+        with np.errstate(over="ignore"):
+            values = dequantize_f32(qt)
+        assert low.dtype == high.dtype == np.float32
+        assert (low, high) == (values.min(), values.max())
+
     def test_endpoint_codes(self):
         f = np.array([0.0, 255.0], np.float32)
         qt = quantize(f, compute_quant_params(f))

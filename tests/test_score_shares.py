@@ -128,6 +128,7 @@ def test_bad_image_fails_as_serial_run(workspace, gate, monkeypatch, capsys,
     rc, out = infer(workspace, images)
     assert (rc, capsys.readouterr().err) == (want_rc, want_err)
     assert rc == code and want_err.startswith("chromapad infer: ")
+    assert bad in want_err  # the message names the image that failed
     assert not out.exists() and not want_out.exists()
 
 
