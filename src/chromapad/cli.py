@@ -16,9 +16,10 @@ import glob
 import json
 import os
 import sys
+from functools import partial
 
 from .complexity import model_complexity
-from .errors import ChromapadError, PpmParseError
+from .errors import ChromapadError
 from .metrics import _APCER_CAPS, det_csv, evaluate_scores, read_scores_csv
 # not called here, but perfbench/tracing.py wraps these at this module's
 # names, so they stay importable from it
@@ -35,6 +36,7 @@ from .model import (
     read_json,
     read_text,
     score_in_shares,
+    score_ppm_file,
     scores_from_images,
     write_tensors,
 )
@@ -105,17 +107,9 @@ def _emit(text, out_path):
 def _cmd_infer(args):
     cfg = load_config(args.config)
     model = load_weights(args.weights, cfg)
-
-    def score(path):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            return forward_ppm(model, data)
-        except PpmParseError as exc:
-            raise PpmParseError(f"{path}: {exc.reason}", exc.offset) \
-                from None
-
-    scores = score_in_shares(score, args.image)
+    # through this module's name, which perfbench/tracing.py wraps
+    scores = score_in_shares(
+        partial(score_ppm_file, model, forward=forward_ppm), args.image)
     _emit("".join(f"{path},{value:.10g}\n"
                   for path, value in zip(args.image, scores)), args.out)
     return EXIT_OK

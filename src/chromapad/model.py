@@ -40,6 +40,7 @@ import stat
 import struct
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -60,8 +61,9 @@ from .blocks import (
     nested_residual_forward,
 )
 from .colorspace import ColorImage, ColorSpace, convert, image_to_tensor, load_ppm
-from .errors import (ChromapadError, ConfigError, QuantizationError,
-                     ShapeError, SpaceError, WeightFileError)
+from .errors import (ChromapadError, ConfigError, PpmParseError,
+                     QuantizationError, ShapeError, SpaceError,
+                     WeightFileError)
 from .metrics import _APCER_CAPS, ScoreSet, _operating_point, _sweep
 from .plan import layer_plan
 from .quant import (
@@ -510,6 +512,17 @@ def forward_ppm(model: Model, ppm_bytes: bytes) -> float:
     return score
 
 
+def score_ppm_file(model: Model, path, forward=forward_ppm) -> float:
+    """``forward(model, bytes)`` of the PPM file at ``path``; a
+    `PpmParseError` is raised again with ``path`` in its message."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return forward(model, data)
+    except PpmParseError as exc:
+        raise PpmParseError(f"{path}: {exc.reason}", exc.offset) from None
+
+
 # --- scoring many images ---------------------------------------------------
 
 def _share_cpus():
@@ -923,11 +936,7 @@ def scores_from_images(cfg: ModelConfig, bonafide_ppms, attack_ppms) -> ScoreSet
     """
     model = build_model(cfg)
     bonafide = list(bonafide_ppms)
-
-    def score(path):
-        with open(path, "rb") as fh:
-            return forward_ppm(model, fh.read())
-
-    scores = score_in_shares(score, [*bonafide, *attack_ppms])
+    scores = score_in_shares(partial(score_ppm_file, model),
+                             [*bonafide, *attack_ppms])
     return ScoreSet(bonafide=scores[:len(bonafide)],
                     attack=scores[len(bonafide):])

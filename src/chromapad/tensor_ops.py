@@ -14,10 +14,24 @@ split into contiguous shares of batch entries or output rows, one per CPU
 the calling thread may run on (read per call), each run by the calling
 thread or by a thread joined before the call returns, so every output
 element is still one thread's ascending-k sum.
+
+Without numba, each product (or share) is one ``np.einsum("ski,skj->sij")``
+sweep into the fresh output. The right operand and the output are
+contiguous along j, and the left operand is broadcast along it, so numpy's
+inner loop is always its scalar-times-vector multiply-add over j, run for
+ascending k: each product rounds to float32 and is then added, which are
+the triple loop's operations. A one-column product would lose its j axis,
+and einsum would then sum over k in unrolled partial sums, so it runs on
+the right operand padded with one zero column. A numpy build whose
+multiply-add is fused, or that orders k differently, would change bits: on
+the first product in a process a probe compares einsum with the ufunc loop,
+a sweep of multiply and add ufunc calls over k, on a few seeded shapes, and
+if any byte differs every product runs on the ufunc loop instead.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -49,19 +63,22 @@ def _as_f32(x, rank, name):
     return arr
 
 
-# accumulator elements per output-row block (384 KiB of float32): with its
-# product buffer it stays L2-resident through the whole k sweep
+# accumulator elements per output-row block of the ufunc loop (384 KiB of
+# float32): with its product buffer it stays L2-resident through the k sweep
 _BLOCK_BUDGET = 98304
+# accumulator elements per thread below which a product stays serial
+_SPLIT_MIN = 49152
 
 
-def _matmul_numpy(a_t, b, out):
-    # full output rows accumulate in place in `out`, so every ufunc call
-    # sweeps one contiguous n-long inner axis; each product is formed by
-    # spreading the a column over the block and scaling it by the b row,
-    # which numpy runs faster than the broadcast outer product. The k views
-    # come from iterating over transposed views, and the ufuncs take `out`
-    # positionally: the loop holds the GIL as briefly as it can between
-    # ufunc calls, so the shares of a split product rarely wait on it
+def _matmul_ufuncs(a_t, b, out):
+    # the fallback kernel. Full output rows accumulate in place in `out`,
+    # so every ufunc call sweeps one contiguous n-long inner axis; each
+    # product is formed by spreading the a column over the block and
+    # scaling it by the b row, which numpy runs faster than the broadcast
+    # outer product. The k views come from iterating over transposed views,
+    # and the ufuncs take `out` positionally: the loop holds the GIL as
+    # briefly as it can between ufunc calls, so the shares of a split
+    # product rarely wait on it
     batch, inner, m = a_t.shape
     n = b.shape[2]
     rows = max(1, min(m, _BLOCK_BUDGET // max(batch * n, 1)))
@@ -77,6 +94,49 @@ def _matmul_numpy(a_t, b, out):
             prod[...] = a_col
             multiply(prod, b_row, prod)
             add(acc, prod, acc)
+
+
+def _matmul_einsum(a_t, b, out):
+    # b and out contiguous along j, so the inner loop is out[j] += a * b[j]
+    # for ascending k; einsum releases the GIL while it runs
+    np.einsum("ski,skj->sij", a_t, b, out=out)
+
+
+# right-operand widths the probe tries: the vector body, its tails, and
+# the scalar loop of numpy's multiply-add
+_PROBE_WIDTHS = (2, 3, 8, 9, 33, 67)
+
+
+@functools.cache
+def _einsum_keeps_bits():
+    """Whether `_matmul_einsum` gives the ufunc loop's bytes on this numpy
+    build, checked once per process on seeded operands whose exponents
+    spread widely, so a fused multiply-add or another k order shows."""
+    rng = np.random.default_rng(0)
+    for n in _PROBE_WIDTHS:
+        a_t, b = (np.ldexp(rng.standard_normal(shape),
+                           rng.integers(-12, 13, shape)).astype(np.float32)
+                  for shape in ((2, 64, 4), (2, 64, n)))
+        want, got = np.empty((2, 2, 4, n), np.float32)
+        _matmul_ufuncs(a_t, b, want)
+        _matmul_einsum(a_t, b, got)
+        if want.tobytes() != got.tobytes():
+            return False
+    return True
+
+
+def _matmul_numpy(a_t, b, out):
+    if not _einsum_keeps_bits():
+        _matmul_ufuncs(a_t, b, out)
+    elif b.shape[2] == 1:
+        # keep the j axis: one zero column beside b
+        wide = np.zeros(b.shape[:2] + (2,), np.float32)
+        wide[:, :, :1] = b
+        full = np.empty(out.shape[:2] + (2,), np.float32)
+        _matmul_einsum(a_t, wide, full)
+        out[...] = full[:, :, :1]
+    else:
+        _matmul_einsum(a_t, b, out)
 
 
 def _matmul_loops(a_t, b, out):
@@ -101,6 +161,15 @@ def _matmul_loops(a_t, b, out):
 # nogil lets the shares of one split product run in parallel
 _matmul_compiled = (numba.njit(cache=True, nogil=True)(_matmul_loops)
                     if numba else None)
+
+
+def _contraction_path():
+    """The kernel that runs products in this process: "compiled", "einsum"
+    or "ufunc loop" (runs the probe if it has not run yet)."""
+    if _matmul_compiled is not None:
+        return "compiled"
+    return "einsum" if _einsum_keeps_bits() else "ufunc loop"
+
 
 def _usable_cpus():
     # CPUs the calling thread may run on, read per call, so a thread pinned
@@ -164,11 +233,10 @@ def batched_matmul(a, b) -> np.ndarray:
     b = np.ascontiguousarray(b)
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     kernel = _matmul_compiled or _matmul_numpy
-    # split only when the accumulator fills at least half a block per
-    # thread, so small products (whose many short ufunc calls would contend
-    # for the GIL) stay serial
+    # split only at _SPLIT_MIN accumulator elements per thread, so small
+    # products, whose thread start-up would outweigh their work, stay serial
     threads = _usable_cpus()
-    if threads > 1 and out.size >= threads * (_BLOCK_BUDGET // 2):
+    if threads > 1 and out.size >= threads * _SPLIT_MIN:
         _matmul_split(kernel, a_t, b, out, threads)
     else:
         kernel(a_t, b, out)

@@ -249,3 +249,34 @@ def test_ablate_image_directories_match_serial(workspace, gate, monkeypatch,
     assert capsys.readouterr().out == want
     assert bits(M.scores_from_images(cfg, bona, atk)) == want_bits
     assert_no_child()
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_ablate_names_bad_image_at_every_position(workspace, gate,
+                                                  monkeypatch, capsys, k):
+    # four images in sorted order, two per directory; the k-th is bad
+    root = workspace["dir"]
+    paths = []
+    for i, name in enumerate(("bona", "bona", "atk", "atk")):
+        (root / name).mkdir(exist_ok=True)
+        path = root / name / f"{i}.ppm"
+        source = workspace["images"][i] if i != k else root / "bad.ppm"
+        with open(source, "rb") as fh:
+            path.write_bytes(fh.read())
+        paths.append(str(path))
+    grid = root / "grid.json"
+    cfg = ModelConfig.from_json_dict(
+        json.loads((root / "config.json").read_text(encoding="utf-8")))
+    grid.write_text(json.dumps([{"config": cfg.to_json_dict(),
+                                 "bonafide_images": "bona",
+                                 "attack_images": "atk"}]), encoding="utf-8")
+    argv = ["ablate", "--grid", str(grid), "--scores-dir", str(root)]
+    with monkeypatch.context() as serial:
+        serial_gate(serial)
+        want_rc = main(argv)
+    want = capsys.readouterr()
+    assert main(argv) == want_rc == EXIT_DATA
+    assert capsys.readouterr() == want
+    assert want.err == (f"chromapad ablate: {paths[k]}: bad magic b'P7', "
+                        f"expected b'P6' (byte offset 0)\n")
+    assert_no_child()

@@ -397,10 +397,10 @@ def test_compiled_and_numpy_matmul_paths_identical():
     import chromapad.tensor_ops as T
 
     rng = np.random.default_rng(21)
-    # (2, 9, 2, 7000) spans two output-row blocks of the numpy path
+    # (2, 9, 2, 7000) spans two output-row blocks of the ufunc loop
     shapes = [(1, 1, 1, 1), (3, 17, 4, 5), (2, 33, 3, 2), (2, 9, 2, 7000)]
     shapes += [tuple(rng.integers(1, 20, size=4)) for _ in range(8)]
-    kernels = [T._matmul_numpy, T._matmul_loops]
+    kernels = [T._matmul_numpy, T._matmul_ufuncs, T._matmul_loops]
     if T._matmul_compiled is not None:
         kernels.append(T._matmul_compiled)
     for batch, m, k, n in shapes:
@@ -467,7 +467,7 @@ class TestSplitProducts:
         import chromapad.tensor_ops as T
 
         # m * n equals the gate exactly at m = 48 * threads, n = 1024
-        gate_rows = T._usable_cpus() * (T._BLOCK_BUDGET // 2) // 1024
+        gate_rows = T._usable_cpus() * T._SPLIT_MIN // 1024
         for m, splits in ((gate_rows - 1, 0), (gate_rows, 1)):
             a, b = random_operands(m, 1, m, 3, 1024)
             del split_threads[:]
@@ -502,7 +502,7 @@ class TestSplitProducts:
 
         cpus = os.sched_getaffinity(0)
         # an accumulator at the split gate for every CPU of this host
-        rows = len(cpus) * (T._BLOCK_BUDGET // 2) // 512
+        rows = len(cpus) * T._SPLIT_MIN // 512
         a, b = random_operands(12, 1, rows, 3, 512)
         expected = serial_kernel_product(a, b).tobytes()
         started = []
@@ -659,3 +659,221 @@ class TestSplitProducts:
                 pytest.fail("forked child hung on a split product")
             time.sleep(0.01)
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def wide_operands(rng, batch, m, k, n):
+    """(B, m, k) and (B, k, n) float32 operands whose exponents spread over
+    2**-12..2**12, so a changed rounding or summation order shows."""
+    return tuple(np.ldexp(rng.standard_normal(shape),
+                          rng.integers(-12, 13, shape)).astype(np.float32)
+                 for shape in ((batch, m, k), (batch, k, n)))
+
+
+def left_layouts(a):
+    """``a`` as the transposed view `batched_matmul` makes of a contiguous
+    operand, as a contiguous (B, k, m) operand, and as a view reading every
+    other column of a wider array; each returned in the (B, k, m) form the
+    kernels take."""
+    batch, m, k = a.shape
+    wide = np.zeros((batch, m, 2 * k), np.float32)
+    wide[:, :, ::2] = a
+    return (a.transpose(0, 2, 1), np.ascontiguousarray(a.transpose(0, 2, 1)),
+            wide[:, :, ::2].transpose(0, 2, 1))
+
+
+def kernel_product(kernel, a_t, b):
+    """``kernel``'s product of (B, k, m) and (B, k, n) operands."""
+    out = np.empty((b.shape[0], a_t.shape[2], b.shape[2]), np.float32)
+    kernel(a_t, b, out)
+    return out
+
+
+class TestNumpyPath:
+    """The pure-numpy kernel against the ufunc loop, its fallback and the
+    reference for its bits."""
+
+    def test_one_column_products_match_ufunc_loop(self):
+        import chromapad.tensor_ops as T
+
+        # einsum alone sums a one-column product over k in unrolled
+        # partial sums, which differs here on 91 of these 162 shapes
+        rng = np.random.default_rng(1)
+        for batch, m, k in itertools.product((1, 3), range(1, 10),
+                                             range(1, 10)):
+            a, b = wide_operands(rng, batch, m, k, 1)
+            want = kernel_product(T._matmul_ufuncs, a.transpose(0, 2, 1),
+                                  b).tobytes()
+            for a_t in left_layouts(a):
+                got = kernel_product(T._matmul_numpy, a_t, b)
+                assert got.tobytes() == want, (batch, m, k)
+            assert batched_matmul(a, b).tobytes() == want
+
+    def test_random_products_match_ufunc_loop(self):
+        import chromapad.tensor_ops as T
+
+        rng = np.random.default_rng(2)
+        for _ in range(60):
+            batch = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 40))
+            k = int(rng.integers(1, 600))
+            n = int(rng.integers(2, 90))
+            a, b = wide_operands(rng, batch, m, k, n)
+            want = kernel_product(T._matmul_ufuncs, a.transpose(0, 2, 1),
+                                  b).tobytes()
+            for a_t in left_layouts(a):
+                got = kernel_product(T._matmul_numpy, a_t, b)
+                assert got.tobytes() == want, (batch, m, k, n)
+            assert batched_matmul(a, b).tobytes() == want
+
+
+def fused_einsum(a_t, b, out):
+    """The einsum step as a build that fuses multiply-add would run it:
+    each ``a * b + acc`` is formed in float64, where the product is exact,
+    and then rounded to float32."""
+    acc = np.zeros(out.shape, np.float32)
+    for k in range(a_t.shape[1]):
+        acc = (a_t[:, k, :, None].astype(np.float64) * b[:, k, None, :]
+               + acc).astype(np.float32)
+    out[...] = acc
+
+
+def descending_einsum(a_t, b, out):
+    """The einsum step summing k in descending order."""
+    np.einsum("ski,skj->sij", np.ascontiguousarray(a_t[:, ::-1]),
+              np.ascontiguousarray(b[:, ::-1]), out=out)
+
+
+@pytest.fixture
+def fresh_probe():
+    """The probe's cached verdict dropped before and after the test, so it
+    runs again on the next product."""
+    import chromapad.tensor_ops as T
+
+    T._einsum_keeps_bits.cache_clear()
+    yield T._einsum_keeps_bits
+    T._einsum_keeps_bits.cache_clear()
+
+
+def test_probe_verdict_matches_a_wider_sweep(fresh_probe):
+    # True on x86-64 numpy (CI asserts the einsum path there); False where
+    # einsum fuses multiply-add, which a wider sweep then shows too
+    import chromapad.tensor_ops as T
+
+    rng = np.random.default_rng(4)
+    same = True
+    for _ in range(40):
+        a, b = wide_operands(rng, int(rng.integers(1, 4)),
+                             int(rng.integers(1, 20)),
+                             int(rng.integers(1, 300)),
+                             int(rng.integers(2, 90)))
+        a_t = a.transpose(0, 2, 1)
+        same &= (kernel_product(T._matmul_einsum, a_t, b).tobytes() ==
+                 kernel_product(T._matmul_ufuncs, a_t, b).tobytes())
+    assert fresh_probe() is same
+    assert fresh_probe.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("fault", [fused_einsum, descending_einsum])
+def test_probe_rejects_changed_einsum(monkeypatch, fresh_probe, fault):
+    import chromapad.tensor_ops as T
+
+    calls = []
+
+    def recording(a_t, b, out):
+        calls.append(b.shape)
+        fault(a_t, b, out)
+
+    monkeypatch.setattr(T, "_matmul_einsum", recording)
+    monkeypatch.setattr(T, "_matmul_compiled", None)
+    assert T._contraction_path() == "ufunc loop"
+    probed = len(calls)
+    assert probed >= 1
+    rng = np.random.default_rng(3)
+    # one column, several batch entries, and a product over the split gate
+    for shape in ((1, 5, 7, 1), (3, 9, 40, 33), (1, 301, 5, 500)):
+        a, b = wide_operands(rng, *shape)
+        want = kernel_product(T._matmul_ufuncs, a.transpose(0, 2, 1), b)
+        assert batched_matmul(a, b).tobytes() == want.tobytes()
+    assert len(calls) == probed  # every product took the fallback
+
+
+_FUSED_PINS_SCRIPT = """
+import sys
+
+import pytest
+
+import chromapad.tensor_ops as T
+
+tests_dir, pins = sys.argv[1:]
+sys.path.insert(0, tests_dir)
+from test_tensor_ops import fused_einsum
+
+calls = []
+
+
+def recording(a_t, b, out):
+    calls.append(b.shape)
+    fused_einsum(a_t, b, out)
+
+
+T._matmul_einsum = recording
+T._matmul_compiled = None
+code = pytest.main(["-q", "-p", "no:cacheprovider", pins])
+print(T._contraction_path(), len(calls))
+sys.exit(code)
+"""
+
+
+def _run_script(script, *args):
+    import subprocess
+    import sys
+
+    import chromapad
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chromapad.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env,
+                          cwd=os.path.dirname(src), timeout=600)
+
+
+def test_pins_hold_when_probe_rejects_einsum():
+    # a fused multiply-add build: the probe's first shape fails, every
+    # product runs on the ufunc loop, and every pin still holds
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    proc = _run_script(_FUSED_PINS_SCRIPT, tests_dir,
+                       os.path.join(tests_dir, "test_pins.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ufunc loop 1"
+
+
+_NO_PROBE_SCRIPT = """
+import sys
+
+import numpy as np
+
+import chromapad
+import chromapad.tensor_ops as T
+from chromapad.cli import main
+
+probe = T._einsum_keeps_bits
+after_import = probe.cache_info().misses
+scores, det, report = sys.argv[1:]
+rc = main(["eval", "--scores", scores, "--det", det, "--out", report])
+after_eval = probe.cache_info().misses
+ones = np.ones((1, 3, 2), np.float32)
+T._matmul_numpy(ones, ones, np.empty((1, 2, 2), np.float32))
+print(rc, after_import, after_eval, probe.cache_info().misses)
+"""
+
+
+def test_import_and_eval_never_probe(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("label,score\nbonafide,0.9\nbonafide,0.7\n"
+                      "attack,0.2\nattack,0.8\n", encoding="utf-8")
+    proc = _run_script(_NO_PROBE_SCRIPT, str(scores),
+                       str(tmp_path / "det.csv"), str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    # the product afterwards is the first, and runs the probe once
+    assert proc.stdout.split() == ["0", "0", "0", "1"]
