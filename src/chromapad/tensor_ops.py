@@ -22,11 +22,11 @@ inner loop is always its scalar-times-vector multiply-add over j, run for
 ascending k: each product rounds to float32 and is then added, which are
 the triple loop's operations. A one-column product would lose its j axis,
 and einsum would then sum over k in unrolled partial sums, so it runs on
-the right operand padded with one zero column. A numpy build whose
-multiply-add is fused, or that orders k differently, would change bits: on
-the first product in a process a probe compares einsum with the ufunc loop,
-a sweep of multiply and add ufunc calls over k, on a few seeded shapes, and
-if any byte differs every product runs on the ufunc loop instead.
+the ufunc loop, a sweep of multiply and add ufunc calls over k. A numpy
+build whose multiply-add is fused, or that orders k differently, would
+change bits: on the first wider product in a process a probe compares
+einsum with the ufunc loop on a few seeded shapes, and if any byte differs
+every product runs on the ufunc loop instead.
 """
 
 from __future__ import annotations
@@ -126,15 +126,9 @@ def _einsum_keeps_bits():
 
 
 def _matmul_numpy(a_t, b, out):
-    if not _einsum_keeps_bits():
+    # a one-column product has no j axis for einsum's multiply-add loop
+    if b.shape[2] == 1 or not _einsum_keeps_bits():
         _matmul_ufuncs(a_t, b, out)
-    elif b.shape[2] == 1:
-        # keep the j axis: one zero column beside b
-        wide = np.zeros(b.shape[:2] + (2,), np.float32)
-        wide[:, :, :1] = b
-        full = np.empty(out.shape[:2] + (2,), np.float32)
-        _matmul_einsum(a_t, wide, full)
-        out[...] = full[:, :, :1]
     else:
         _matmul_einsum(a_t, b, out)
 
