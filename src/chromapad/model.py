@@ -24,9 +24,20 @@ buffer into a new file beside the target, which replaces the target once
 every tensor is in. So ``chromapad quantize`` holds one tensor at a time,
 and a bad tensor leaves the target as it was.
 
+In memory every tensor of a built or loaded model is held input-major
+(`tensor_ops.input_major`): a weight of shape (outputs, inputs...) keeps
+its (inputs, outputs) transpose contiguous, the layout its product reads,
+while `Model.weights` shows the plan's shapes. `build_model` draws straight
+into that layout, `read_tensor_file` reads into it, and the writer writes
+any layout in the file's row-major order, each relaying a tensor in pieces
+of at most `_PIECE` bytes: the file bytes do not depend on the layout, and
+no second whole copy is made. `iter_tensor_file`, which streams a file
+through ``chromapad quantize``, keeps the file's order.
+
 A model under dynamic quantization keeps its default-policy tensors as int8
-codes. `forward` hands each stage its parameters through `_ready`, which
-dequantizes those codes to float32 for that stage call alone.
+codes, in the same layout. `forward` hands each stage its parameters
+through `_ready`, which dequantizes those codes to float32 for that stage
+call alone.
 """
 
 from __future__ import annotations
@@ -75,12 +86,14 @@ from .quant import (
     dequantized_range,
     quantize_model,
 )
-from .tensor_ops import BatchNormParams
+from .tensor_ops import BatchNormParams, c_order_pieces, input_major
 
 WEIGHT_MAGIC = b"CFPA"
 WEIGHT_VERSION = 1
 BN_EPSILON = 1e-5
 _DRAW_CHUNK = 1 << 16  # float64 values per uniform draw in build_model
+_PIECE = 1 << 19  # bytes per piece relaid between file order and memory
+_TILE = 64  # elements per row of one tile of a strided write
 INPUT_NORMALIZATION = "divide_by_255"  # plain [0, 1] scaling, no channel stats
 
 
@@ -440,8 +453,9 @@ def build_model(cfg: ModelConfig) -> Model:
 
     A config whose float32 weights would not fit in the host's physical
     memory raises `ConfigError` before anything is allocated. A uniform
-    tensor is drawn `_DRAW_CHUNK` values at a time into its float32 array;
-    a PCG64 stream drawn in pieces equals one draw."""
+    tensor is drawn `_DRAW_CHUNK` values at a time, in the plan shape's C
+    order, into its input-major float32 array; a PCG64 stream drawn in
+    pieces equals one draw."""
     specs = tensor_layout(cfg)
     need = 4 * sum(math.prod(spec.shape) for spec in specs)
     have = _physical_memory()
@@ -452,17 +466,15 @@ def build_model(cfg: ModelConfig) -> Model:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     weights = {}
     for spec in specs:
+        weights[spec.name] = arr = input_major(spec.shape)
         if spec.init == "uniform":
             bound = 1.0 / math.sqrt(math.prod(spec.shape[1:]))
-            weights[spec.name] = arr = np.empty(spec.shape, np.float32)
-            flat = arr.reshape(-1)
-            for start in range(0, flat.size, _DRAW_CHUNK):
-                piece = flat[start:start + _DRAW_CHUNK]
-                piece[...] = rng.uniform(-bound, bound, piece.size)
-        elif spec.init == "ones":
-            weights[spec.name] = np.ones(spec.shape, np.float32)
+            for index in c_order_pieces(arr.shape, _DRAW_CHUNK):
+                piece = arr[index]
+                piece[...] = rng.uniform(-bound, bound, piece.size).reshape(
+                    piece.shape)
         else:
-            weights[spec.name] = np.zeros(spec.shape, np.float32)
+            arr.fill(1.0 if spec.init == "ones" else 0.0)
     return Model(config=cfg, weights=weights)
 
 
@@ -678,21 +690,39 @@ def _write_tensor(fh, name, value):
                 f"zero point {p.zero_point} of tensor {name!r} does not "
                 f"fit in int32"
             )
-        code, payload = _DTYPE_QINT8, np.asarray(value.qdata, order="C")
+        code, payload = _DTYPE_QINT8, value.qdata
         trailer = struct.pack("<fffi", p.f_min, p.f_max, p.scale,
                               p.zero_point)
     else:
-        code, payload = _DTYPE_F32, np.asarray(value, "<f4", order="C")
+        code, payload = _DTYPE_F32, np.asarray(value, "<f4")
     fh.write(struct.pack(f"<I{len(encoded)}sBB{payload.ndim}Q",
                          len(encoded), encoded, code, payload.ndim,
                          *payload.shape))
-    fh.write(payload)
+    _write_payload(fh, payload)
     fh.write(trailer)
 
 
-def _new_array(dtype, shape, name):
+def _write_payload(fh, payload):
+    """Write ``payload`` in row-major order: from its own buffer when that
+    is C-contiguous, otherwise through a buffer of `_PIECE` bytes, filled a
+    tile of at most `_TILE` elements per row at a time so that the strided
+    reads stay in cache."""
+    if payload.flags.c_contiguous:
+        fh.write(payload)
+        return
+    buf = np.empty(_PIECE // payload.itemsize, payload.dtype)
+    for index in c_order_pieces(payload.shape, buf.size):
+        piece = payload[index]
+        out = buf[:piece.size].reshape(piece.shape)
+        step = max(1, _TILE // math.prod(piece.shape[2:]))
+        for c in range(0, max(piece.shape[1:2], default=1), step):
+            out[:, c:c + step] = piece[:, c:c + step]
+        fh.write(out)
+
+
+def _new_array(dtype, shape, name, layout=np.empty):
     try:
-        return np.empty(shape, dtype)
+        return layout(shape, dtype)
     except ValueError:  # a zero extent beside extents too large to span
         raise WeightFileError(f"tensor {name!r} has extents {shape} that "
                               f"no array can hold") from None
@@ -739,12 +769,23 @@ class _Reader:
         self.pos += n
         return offset
 
-    def read_array(self, dtype, shape, name, offset):
-        """The payload of tensor ``name`` at ``offset``, read straight into
-        its array."""
+    def read_array(self, dtype, shape, name, offset, layout):
+        """The payload of tensor ``name`` at ``offset`` in a new array made
+        by ``layout``: read straight into it when it is row-major,
+        otherwise through a buffer of `_PIECE` bytes."""
         self.fh.seek(offset)
         self.pos = offset
-        arr = _new_array(dtype, shape, name)
+        arr = _new_array(dtype, shape, name, layout)
+        if arr.flags.c_contiguous:
+            return self._read_into(arr, name)
+        buf = np.empty(_PIECE // arr.itemsize, arr.dtype)
+        for index in c_order_pieces(shape, buf.size):
+            piece = arr[index]
+            piece[...] = self._read_into(
+                buf[:piece.size].reshape(piece.shape), name)
+        return arr
+
+    def _read_into(self, arr, name):
         if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
             raise self._truncated(f"payload of {name!r}")
         self.pos += arr.nbytes
@@ -753,38 +794,44 @@ class _Reader:
 
 def read_tensor_file(path):
     """Read a CFPA tensor file into a name -> value mapping, in name
-    order."""
-    return dict(iter_tensor_file(path))
+    order, each tensor held input-major, as a model runs it."""
+    return dict(_read_tensors(path, input_major))
 
 
 def iter_tensor_file(path):
     """Yield the tensors of CFPA file ``path`` as (name, value) pairs in
-    name order, reading one payload at a time straight into its array.
+    name order, reading one payload at a time straight into its array, in
+    the file's row-major order.
 
     A header pass first runs every check over the whole file without
     reading a payload, so a bad file raises before the first pair. Where a
     name repeats, its last tensor counts. A path that is not a regular
     file, such as a pipe, is read whole first."""
+    yield from _read_tensors(path, np.empty)
+
+
+def _read_tensors(path, layout):
+    # `iter_tensor_file`, each array made by ``layout``
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
-            yield from _iter_tensors(_Reader(fh, st.st_size))
+            yield from _iter_tensors(_Reader(fh, st.st_size), layout)
             return
         data = fh.read()
-    yield from _iter_tensors(_Reader(io.BytesIO(data), len(data)))
+    yield from _iter_tensors(_Reader(io.BytesIO(data), len(data)), layout)
 
 
-def _iter_tensors(r):
+def _iter_tensors(r, layout):
     entries = _header_pass(r)
     for name in sorted(entries):
         shape, offset, params = entries[name]
         if params is None:
             # native order for the kernels: no copy on a little-endian host
-            yield name, r.read_array("<f4", shape, name, offset).astype(
-                np.float32, copy=False)
+            yield name, r.read_array("<f4", shape, name, offset,
+                                     layout).astype(np.float32, copy=False)
         else:
             yield name, QuantizedTensor(
-                qdata=r.read_array(np.int8, shape, name, offset),
+                qdata=r.read_array(np.int8, shape, name, offset, layout),
                 params=params)
 
 

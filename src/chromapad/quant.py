@@ -14,9 +14,12 @@ reconstruction and reconstruction after a serialization round trip are
 bit-identical.
 
 Both formulas are elementwise, so `quantize` and `dequantize_f32` evaluate
-them in double precision over fixed-size pieces of the flattened tensor and
-write each piece straight into the int8 or float32 result: no float64 copy
-of the whole tensor is made, and the bits equal one whole-tensor evaluation.
+them in double precision over fixed-size pieces of the tensor, walked in
+memory order through one float64 buffer, and write each piece straight
+into the int8 or float32 result, which keeps the tensor's layout: no
+float64 copy of the whole tensor is made, the bits equal one whole-tensor
+evaluation, and an input-major weight (see `tensor_ops`) dequantizes
+straight into the layout its product reads.
 Reconstruction is monotone in q, so `dequantized_range` reads the float32
 extremes of a tensor from its two extreme codes.
 
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuantizationError
+from .tensor_ops import c_order_pieces
 
 # elements per float64 piece in `quantize` and `dequantize_f32`
 _CHUNK = 1 << 16
@@ -109,19 +113,25 @@ def compute_quant_params(f) -> QuantParams:
 
 
 def _pieces(src, dst):
-    """(source, destination) views of successive `_CHUNK`-element pieces of
-    the flattened ``src`` and the contiguous ``dst`` of the same size."""
-    src, dst = src.reshape(-1), dst.reshape(-1)
-    for start in range(0, src.size, _CHUNK):
-        yield src[start:start + _CHUNK], dst[start:start + _CHUNK]
+    """(work, destination) pairs over successive pieces of at most `_CHUNK`
+    elements of ``src`` and of ``dst``, a new array of its shape made by
+    `np.empty_like`, walked in the memory order of ``dst``. ``work`` holds
+    the source piece in float64, in one buffer that every piece reuses."""
+    order = np.argsort(dst.strides)[::-1]
+    src, dst = src.transpose(order), dst.transpose(order)
+    buf = np.empty(min(_CHUNK, dst.size), np.float64)
+    for index in c_order_pieces(dst.shape, buf.size):
+        piece = dst[index]
+        work = buf[:piece.size].reshape(piece.shape)
+        work[...] = src[index]
+        yield work, piece
 
 
 def quantize(f, params: QuantParams) -> QuantizedTensor:
     """Map values to int8 via round((f - f_min) / S) - 128, clamped."""
     arr = np.asarray(f, np.float32)
-    q = np.empty(arr.shape, np.int8)
-    for piece, out in _pieces(arr, q):
-        x = piece.astype(np.float64)
+    q = np.empty_like(arr, np.int8)
+    for x, out in _pieces(arr, q):
         x -= params.f_min
         x /= params.scale
         # `_round_half_away` in place: the sign is the only other buffer
@@ -152,10 +162,10 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
 
 def dequantize_f32(qt: QuantizedTensor) -> np.ndarray:
     """`dequantize` rounded to the float32 tensor type used by the kernels,
-    evaluated a piece at a time into the float32 result."""
-    out = np.empty(qt.qdata.shape, np.float32)
-    for piece, dst in _pieces(qt.qdata, out):
-        x = piece.astype(np.float64)
+    evaluated a piece at a time into the float32 result, which has the
+    layout of the codes."""
+    out = np.empty_like(qt.qdata, np.float32)
+    for x, dst in _pieces(qt.qdata, out):
         x += 128.0
         x *= qt.params.scale
         x += qt.params.f_min

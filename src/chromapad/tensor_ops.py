@@ -8,12 +8,25 @@ pure functions and never mutate their inputs.
 `batched_matmul` is the one contraction kernel: `matmul` is its batch of one
 and `conv2d` runs every group as one batch entry; batching never changes the
 order of one output element's sum. Operands may be any strided views: the
-kernel reads the left one in place, and the right one is copied only when it
-is not C-contiguous, so no caller lays out an operand. A large product is
-split into contiguous shares of batch entries or output rows, one per CPU
-the calling thread may run on (read per call), each run by the calling
-thread or by a thread joined before the call returns, so every output
-element is still one thread's ascending-k sum.
+kernel reads one operand in place and broadcasts it, and copies the other
+only when it is not C-contiguous. Which is which follows the output: a
+product with at least `_SPLIT_MIN` outputs per batch entry and more rows
+than columns runs as ``c.T = b.T @ a.T`` along its longer output axis, with
+the same products (IEEE multiplication commutes) summed in the same
+ascending-k order, and returns the transposed view of that result. A large
+product is split into contiguous shares of batch entries or output rows,
+one per CPU the calling thread may run on (read per call), each run by the
+calling thread or by a thread joined before the call returns, so every
+output element is still one thread's ascending-k sum.
+
+The layout rule: a weight of shape (outputs, inputs...) is held
+input-major, meaning its (inputs, outputs) transpose is the contiguous
+array (`input_major` allocates one). Then ``x @ w.T`` and a convolution
+whose swapped product reads ``w.T`` find their copied operand already
+contiguous, so no weight is copied per call; a weight held in C order
+still works and is copied per call. `c_order_pieces` walks an array of
+either layout in bounded pieces, so files, seeded draws and quantization
+move between C order and this layout without a second whole copy.
 
 Without numba, each product (or share) is one ``np.einsum("ski,skj->sij")``
 sweep into the fresh output. The right operand and the output are
@@ -32,6 +45,7 @@ every product runs on the ufunc loop instead.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -54,6 +68,30 @@ def tensor(data) -> np.ndarray:
     if not 1 <= arr.ndim <= MAX_RANK:
         raise ShapeError(f"tensor rank must be 1..{MAX_RANK}, got rank {arr.ndim}")
     return arr
+
+
+def input_major(shape, dtype=np.float32) -> np.ndarray:
+    """A new array of ``shape`` whose first axis varies fastest in memory:
+    the C-ordered array of its later axes then its first, seen through an
+    axis move, so a weight of shape (outputs, inputs...) is input-major."""
+    return np.moveaxis(np.empty((*shape[1:], shape[0]), dtype), -1, 0)
+
+
+def c_order_pieces(shape, limit):
+    """Index tuples that select successive pieces of at most ``limit``
+    elements of an array of ``shape``, in C order: whole runs of rows along
+    the first axis where a row fits, otherwise the pieces of each row."""
+    if math.prod(shape) <= limit:
+        yield ()
+        return
+    rows = limit // math.prod(shape[1:])
+    if rows:
+        for r in range(0, shape[0], rows):
+            yield (slice(r, r + rows),)
+    else:
+        for r in range(shape[0]):
+            for index in c_order_pieces(shape[1:], limit):
+                yield (r, *index)
 
 
 def _as_f32(x, rank, name):
@@ -216,16 +254,30 @@ def batched_matmul(a, b) -> np.ndarray:
     Each output element accumulates in float32 in ascending-k order, so
     ``c[s]`` is bit-for-bit ``matmul(a[s], b[s])`` and the naive triple
     loop. The compiled and pure-numpy paths produce identical bytes, and so
-    do the serial and the split runs of a large product.
+    do the serial and the split runs of a large product. A product of at
+    least `_SPLIT_MIN` outputs per entry with m > n runs as ``c.T = b.T @
+    a.T`` and returns a transposed view, whose bytes are the same.
     """
     a = _as_f32(a, 3, "batched_matmul left operand")
     b = _as_f32(b, 3, "batched_matmul right operand")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"batched_matmul needs (B, m, k) and (B, k, n) "
                          f"operands, got {a.shape} and {b.shape}")
-    a_t = a.transpose(0, 2, 1)
+    batch, m, _ = a.shape
+    n = b.shape[2]
+    # the kernel sweeps output rows, so a large product puts its longer
+    # output axis along them; small ones keep the caller's orientation,
+    # since the attention heads' strided views ran faster as they are
+    if m > n and m * n >= _SPLIT_MIN:
+        return _contract(b, a.transpose(0, 2, 1),
+                         np.empty((batch, n, m), np.float32)).transpose(0, 2, 1)
+    return _contract(a.transpose(0, 2, 1), b,
+                     np.empty((batch, m, n), np.float32))
+
+
+def _contract(a_t, b, out):
+    # out[s] = a_t[s].T @ b[s] on the kernel, b made C-contiguous; returns out
     b = np.ascontiguousarray(b)
-    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     kernel = _matmul_compiled or _matmul_numpy
     # split only at _SPLIT_MIN accumulator elements per thread, so small
     # products, whose thread start-up would outweigh their work, stay serial

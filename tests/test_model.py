@@ -744,6 +744,42 @@ class TestWeightMemory:
         have = M._physical_memory()
         assert have is None or have > 0
 
+    def test_load_allocates_model_plus_one_mib(self, tmp_path):
+        path = tmp_path / "model.cfpa"
+        save_weights(build_model(self.CONFIG), path)
+        model, peak = self.traced_peak(lambda: load_weights(path, self.CONFIG))
+        assert max(w.nbytes for w in model.weights.values()) > 1 << 20
+        assert peak <= sum(w.nbytes for w in model.weights.values()) \
+            + (1 << 20)
+
+    @pytest.mark.parametrize("dq", (False, True))
+    def test_weights_held_input_major(self, tmp_path, dq):
+        cfg = replace(self.CONFIG, dq_enabled=dq)
+        path = tmp_path / "model.cfpa"
+        built = build_model(cfg)
+        save_weights(built, path)
+        for model in (built, load_weights(path, cfg)):
+            for name, w in model.weights.items():
+                codes = w.qdata if isinstance(w, QuantizedTensor) else w
+                # the (inputs, outputs) transpose is the contiguous array
+                assert np.moveaxis(codes, 0, -1).flags.c_contiguous, name
+                assert codes.shape == w.shape
+
+    @pytest.mark.parametrize("dq", (False, True))
+    def test_load_then_save_is_byte_identical(self, tmp_path, dq):
+        cfg = replace(self.CONFIG, dq_enabled=dq)
+        src, again = tmp_path / "model.cfpa", tmp_path / "again.cfpa"
+        save_weights(build_model(cfg), src)
+        save_weights(load_weights(src, cfg), again)
+        assert again.read_bytes() == src.read_bytes()
+        # the same values in C order write the same bytes
+        c_order = tmp_path / "c_order.cfpa"
+        write_tensor_file({
+            name: QuantizedTensor(np.ascontiguousarray(w.qdata), w.params)
+            if isinstance(w, QuantizedTensor) else np.ascontiguousarray(w)
+            for name, w in read_tensor_file(src).items()}, c_order)
+        assert c_order.read_bytes() == src.read_bytes()
+
     def test_read_allocates_payload_plus_one_mib(self, tmp_path):
         path = tmp_path / "model.cfpa"
         save_weights(build_model(self.CONFIG), path)
@@ -806,6 +842,30 @@ def test_forward_identical_without_compiled_kernels(monkeypatch):
     monkeypatch.setattr(T, "_matmul_compiled", None)
     slow, _ = forward(m, img)
     assert fast == slow
+
+
+def test_paper_dq_forward_copies_no_large_operand(tmp_path, monkeypatch):
+    # weights are held input-major and large products with m > n swap, so
+    # every operand that `batched_matmul` would copy (one not C-contiguous)
+    # is a small activation; a model holding weights in C order copies the
+    # transposed QKV and output projections, 28.3 MB per paper image
+    import chromapad.tensor_ops as T
+
+    cfg = ModelConfig.paper(dq_enabled=True)
+    path = tmp_path / "paper_int8.cfpa"
+    save_weights(build_model(cfg), path)
+    model = load_weights(path, cfg)
+    copied = []
+    real_contract = T._contract
+
+    def contract(a_t, b, out):
+        if not b.flags.c_contiguous:
+            copied.append(b.nbytes)
+        return real_contract(a_t, b, out)
+
+    monkeypatch.setattr(T, "_contract", contract)
+    forward(model, random_image(cfg.input_size, seed=31))
+    assert copied and max(copied) <= 1 << 20
 
 
 class TestScoresFromImages:

@@ -162,6 +162,58 @@ class TestRoundTrip:
         assert out.tobytes() == expected.tobytes()
 
 
+def input_major_copy(x):
+    """``x`` with its first axis moved last in memory, in the plan shape."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
+class TestLayout:
+    """Quantization walks a tensor in memory order and keeps its layout, so
+    an input-major weight dequantizes straight into the layout its product
+    reads."""
+
+    # a (out, in, kh, kw) weight spanning several `_CHUNK` pieces
+    SHAPE = (256, 128, 3, 3)
+
+    def codes(self):
+        f = np.random.default_rng(8).uniform(-1, 1, self.SHAPE).astype(
+            np.float32)
+        return f, quantize(f, compute_quant_params(f))
+
+    def test_quantize_keeps_layout_and_codes(self):
+        f, qt = self.codes()
+        moved = quantize(input_major_copy(f), qt.params)
+        assert np.moveaxis(moved.qdata, 0, -1).flags.c_contiguous
+        assert moved.qdata.tobytes() == qt.qdata.tobytes()
+
+    def test_dequantize_f32_keeps_layout_and_bits(self):
+        _, qt = self.codes()
+        moved = QuantizedTensor(input_major_copy(qt.qdata), qt.params)
+        got = dequantize_f32(moved)
+        assert np.moveaxis(got, 0, -1).flags.c_contiguous
+        assert got.tobytes() == dequantize_f32(qt).tobytes()
+        # any other strided layout dequantizes to the same values too
+        strided = QuantizedTensor(qt.qdata[:, ::2], qt.params)
+        assert dequantize_f32(strided).tobytes() == \
+            dequantize_f32(qt)[:, ::2].tobytes()
+
+    def test_dequantize_f32_allocates_result_plus_one_piece(self):
+        from chromapad.quant import _CHUNK
+
+        _, qt = self.codes()
+        moved = QuantizedTensor(input_major_copy(qt.qdata), qt.params)
+        assert moved.qdata.size > 4 * _CHUNK
+        dequantize_f32(moved)  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            out = dequantize_f32(moved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 result and one float64 piece, plus 64 KiB
+        assert peak <= out.nbytes + 8 * _CHUNK + (64 << 10)
+
+
 def test_subnormal_span_round_trips():
     # (1e-45 - 0) / 255 rounds to a zero float32 scale
     f = np.array([0.0, 1e-45], np.float32)

@@ -478,7 +478,8 @@ class TestSplitProducts:
     def test_paper_residual_shape(self, split_threads):
         a, b = random_operands(768, 1, 768, 6912, 196)
         got = batched_matmul(a, b)
-        assert split_threads == [(1, 768, 196)]
+        # m > n past the gate: the product runs as c.T = b.T @ a.T
+        assert split_threads == [(1, 196, 768)]
         assert got.tobytes() == serial_kernel_product(a, b).tobytes()
 
     def test_single_cpu_starts_no_thread(self, monkeypatch):
@@ -686,6 +687,74 @@ def kernel_product(kernel, a_t, b):
     out = np.empty((b.shape[0], a_t.shape[2], b.shape[2]), np.float32)
     kernel(a_t, b, out)
     return out
+
+
+def operand_layouts(x):
+    """``x`` (B, r, c) as a C-order array, held input-major (its (B, c, r)
+    transpose contiguous, as a model holds its weights) and as a view of
+    every other column of a wider array."""
+    wide = np.zeros((*x.shape[:2], 2 * x.shape[2]), np.float32)
+    wide[:, :, ::2] = x
+    return (np.ascontiguousarray(x),
+            np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1),
+            wide[:, :, ::2])
+
+
+def oracle_product(a, b):
+    return np.stack([naive_matmul(a[s], b[s]) for s in range(a.shape[0])])
+
+
+class TestOrientation:
+    """A product of at least `_SPLIT_MIN` outputs per entry with m > n runs
+    as c.T = b.T @ a.T; every orientation, layout, split and kernel gives
+    the triple loop's bytes."""
+
+    # (B, m, k, n): m > n, m < n and m == n, below a gate of 48 outputs per
+    # entry (36) and at or past it (52, 49); B = 3 splits the latter over
+    # 2 or 3 threads
+    SHAPES = [(3, 9, 6, 4), (3, 4, 6, 9), (3, 6, 6, 6),
+              (3, 13, 6, 4), (3, 4, 6, 13), (3, 7, 6, 7)]
+
+    @pytest.mark.parametrize("kernel", ["installed", "ufunc loop"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_every_layout_matches_triple_loop(self, monkeypatch, threads,
+                                              kernel):
+        import chromapad.tensor_ops as T
+
+        monkeypatch.setattr(T, "_SPLIT_MIN", 48)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: threads)
+        if kernel == "ufunc loop":
+            monkeypatch.setattr(T, "_matmul_compiled", None)
+            monkeypatch.setattr(T, "_einsum_keeps_bits", lambda: False)
+        splits = []
+        real_split = T._matmul_split
+        monkeypatch.setattr(T, "_matmul_split", lambda *args: (
+            splits.append(args[3].shape), real_split(*args)))
+        rng = np.random.default_rng(threads)
+        for batch, m, k, n in self.SHAPES:
+            a, b = wide_operands(rng, batch, m, k, n)
+            want = oracle_product(a, b).tobytes()
+            swapped = m > n and m * n >= 48
+            for a_view, b_view in itertools.product(operand_layouts(a),
+                                                    operand_layouts(b)):
+                del splits[:]
+                got = batched_matmul(a_view, b_view)
+                assert got.tobytes() == want, (batch, m, k, n)
+                assert got.flags.c_contiguous is not swapped
+                split = threads > 1 and batch * m * n >= threads * 48
+                assert splits == ([(batch, n, m) if swapped else
+                                   (batch, m, n)] if split else [])
+
+    @pytest.mark.parametrize("shape", [(1, 250, 3, 200), (1, 200, 3, 250),
+                                       (1, 224, 3, 224)])
+    def test_products_at_the_real_gate_match_triple_loop(self, shape):
+        # 50 000 or 50 176 outputs: past the gate, split on this host's CPUs
+        a, b = wide_operands(np.random.default_rng(5), *shape)
+        want = oracle_product(a, b).tobytes()
+        for a_view in operand_layouts(a):
+            got = batched_matmul(a_view, b)
+            assert got.tobytes() == want
+            assert got.flags.c_contiguous is not (shape[1] > shape[3])
 
 
 class TestNumpyPath:
