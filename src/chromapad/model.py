@@ -712,10 +712,10 @@ def _write_payload(fh, payload):
         return
     buf = np.empty(_PIECE // payload.itemsize, payload.dtype)
     for index in c_order_pieces(payload.shape, buf.size):
-        piece = payload[index]
+        piece = np.atleast_2d(payload[index])
         out = buf[:piece.size].reshape(piece.shape)
         step = max(1, _TILE // math.prod(piece.shape[2:]))
-        for c in range(0, max(piece.shape[1:2], default=1), step):
+        for c in range(0, piece.shape[1], step):
             out[:, c:c + step] = piece[:, c:c + step]
         fh.write(out)
 

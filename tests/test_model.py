@@ -780,6 +780,35 @@ class TestWeightMemory:
             for name, w in read_tensor_file(src).items()}, c_order)
         assert c_order.read_bytes() == src.read_bytes()
 
+    def test_any_layout_writes_row_major_bytes(self, tmp_path):
+        from chromapad.model import _PIECE
+
+        rng = np.random.default_rng(9)
+        # rows longer than one write piece are split within the row
+        values = {"conv": rng.standard_normal((40, 24, 3, 3)),
+                  "long_rows": rng.standard_normal((3, _PIECE // 2 + 5)),
+                  "matrix": rng.standard_normal((70, 50))}
+        values = {k: v.astype(np.float32) for k, v in values.items()}
+        write_tensor_file(values, tmp_path / "c_order.cfpa")
+        want = (tmp_path / "c_order.cfpa").read_bytes()
+        wide = {k: np.zeros((v.shape[0], 2 * v[0].size), np.float32)
+                for k, v in values.items()}
+        for k, v in values.items():
+            wide[k][:, ::2] = v.reshape(v.shape[0], -1)
+        layouts = {
+            "input_major": {k: np.moveaxis(np.ascontiguousarray(
+                np.moveaxis(v, 0, -1)), -1, 0) for k, v in values.items()},
+            "fortran": {k: np.asfortranarray(v) for k, v in values.items()},
+            "every_other": {k: wide[k][:, ::2].reshape(v.shape)
+                            if v.ndim == 2 else v for k, v in values.items()},
+        }
+        for name, tensors in layouts.items():
+            path = tmp_path / f"{name}.cfpa"
+            write_tensor_file(tensors, path)
+            assert path.read_bytes() == want, name
+        for k, v in read_tensor_file(tmp_path / "c_order.cfpa").items():
+            assert v.tobytes() == values[k].tobytes()
+
     def test_read_allocates_payload_plus_one_mib(self, tmp_path):
         path = tmp_path / "model.cfpa"
         save_weights(build_model(self.CONFIG), path)
