@@ -16,13 +16,13 @@ quantized payload is the int8 data followed by f_min, f_max, and scale as
 little-endian float32 and the zero point as little-endian int32. Tensors are
 written sorted by name, so saving is byte-deterministic.
 
-Weights stream between file and arrays, one tensor at a time. Reading
-makes a header pass that checks the whole file and notes where each payload
-lies, then reads each payload straight into a new array, in name order.
-Writing checks each tensor as it arrives and writes it from its array's own
-buffer into a new file beside the target, which replaces the target once
-every tensor is in. So ``chromapad quantize`` holds one tensor at a time,
-and a bad tensor leaves the target as it was.
+Weights stream between file and arrays, one tensor at a time. Reading makes
+a header pass that checks the whole file and notes where each payload lies,
+then reads each payload into a new array, in name order. Writing checks
+each tensor as it arrives and writes it into a new file beside the target,
+which replaces the target once every tensor is in. So ``chromapad
+quantize`` holds one tensor at a time, and a bad tensor leaves the target
+as it was.
 
 In memory every tensor of a built or loaded model is held input-major
 (`tensor_ops.input_major`): a weight of shape (outputs, inputs...) keeps
