@@ -28,18 +28,18 @@ still works and is copied per call. `c_order_pieces` walks an array of
 either layout in bounded pieces, so files, seeded draws and quantization
 move between C order and this layout without a second whole copy.
 
-Without numba, each product (or share) is one ``np.einsum("ski,skj->sij")``
-sweep into the fresh output. The right operand and the output are
-contiguous along j, and the left operand is broadcast along it, so numpy's
-inner loop is always its scalar-times-vector multiply-add over j, run for
-ascending k: each product rounds to float32 and is then added, which are
-the triple loop's operations. A one-column product would lose its j axis,
-and einsum would then sum over k in unrolled partial sums, so it runs on
-the ufunc loop, a sweep of multiply and add ufunc calls over k. A numpy
-build whose multiply-add is fused, or that orders k differently, would
-change bits: on the first wider product in a process a probe compares
-einsum with the ufunc loop on a few seeded shapes, and if any byte differs
-every product runs on the ufunc loop instead.
+Every product (or share) runs on one kernel, `_matmul_numpy`: one
+``np.einsum("ski,skj->sij")`` sweep into the fresh output. The right operand
+and the output are contiguous along j, and the left operand is broadcast
+along it, so numpy's inner loop is always its scalar-times-vector
+multiply-add over j, run for ascending k: each product rounds to float32
+and is then added, which are the triple loop's operations. A one-column
+product would lose its j axis, and einsum would then sum over k in unrolled
+partial sums, so it runs on the ufunc loop, a sweep of multiply and add
+ufunc calls over k. A numpy build whose multiply-add is fused, or that
+orders k differently, would change bits: on the first wider product in a
+process a probe compares einsum with the ufunc loop on a few seeded shapes,
+and if any byte differs every product runs on the ufunc loop instead.
 """
 
 from __future__ import annotations
@@ -52,14 +52,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pure-numpy fallback path stays bit-identical
-    numba = None
-
 from .errors import ConfigError, ShapeError
 
 MAX_RANK = 4
+
+# numpy keeps ~45 KiB of thread-local state per thread, which glibc
+# allocates on its first use and frees only when the thread ends. In
+# chromapad that first use is the first arithmetic on a temporary of 256
+# KiB or more (numpy's temporary-elision check). Left to `infer`, it would
+# come after the weights are loaded into the heap, sit above them and keep
+# the heap from shrinking once they are freed (~13 MB more peak RSS at
+# paper size). Taking it at import, while the heap is small, keeps it low.
+np.ones(1 << 15) + 0.0
 
 
 def tensor(data) -> np.ndarray:
@@ -171,35 +175,9 @@ def _matmul_numpy(a_t, b, out):
         _matmul_einsum(a_t, b, out)
 
 
-def _matmul_loops(a_t, b, out):
-    # strict IEEE (no fastmath when compiled): each product rounds to
-    # float32 and each add rounds to float32, exactly like `_matmul_numpy`;
-    # row blocking changes only the traversal across output elements
-    batch, inner, m = a_t.shape
-    n = b.shape[2]
-    for s in range(batch):
-        for i0 in range(0, m, 16):
-            i1 = min(i0 + 16, m)
-            for i in range(i0, i1):
-                for j in range(n):
-                    out[s, i, j] = np.float32(0.0)
-            for k in range(inner):
-                for i in range(i0, i1):
-                    aik = a_t[s, k, i]
-                    for j in range(n):
-                        out[s, i, j] = out[s, i, j] + aik * b[s, k, j]
-
-
-# nogil lets the shares of one split product run in parallel
-_matmul_compiled = (numba.njit(cache=True, nogil=True)(_matmul_loops)
-                    if numba else None)
-
-
 def _contraction_path():
-    """The kernel that runs products in this process: "compiled", "einsum"
-    or "ufunc loop" (runs the probe if it has not run yet)."""
-    if _matmul_compiled is not None:
-        return "compiled"
+    """The kernel that runs products in this process: "einsum" or "ufunc
+    loop" (runs the probe if it has not run yet)."""
     return "einsum" if _einsum_keeps_bits() else "ufunc loop"
 
 
@@ -253,8 +231,8 @@ def batched_matmul(a, b) -> np.ndarray:
 
     Each output element accumulates in float32 in ascending-k order, so
     ``c[s]`` is bit-for-bit ``matmul(a[s], b[s])`` and the naive triple
-    loop. The compiled and pure-numpy paths produce identical bytes, and so
-    do the serial and the split runs of a large product. A product of at
+    loop, whichever kernel the probe picked (einsum or the ufunc loop), and
+    so do the serial and the split runs of a large product. A product of at
     least `_SPLIT_MIN` outputs per entry with m > n runs as ``c.T = b.T @
     a.T`` and returns a transposed view, whose bytes are the same.
     """
@@ -278,14 +256,13 @@ def batched_matmul(a, b) -> np.ndarray:
 def _contract(a_t, b, out):
     # out[s] = a_t[s].T @ b[s] on the kernel, b made C-contiguous; returns out
     b = np.ascontiguousarray(b)
-    kernel = _matmul_compiled or _matmul_numpy
     # split only at _SPLIT_MIN accumulator elements per thread, so small
     # products, whose thread start-up would outweigh their work, stay serial
     threads = _usable_cpus()
     if threads > 1 and out.size >= threads * _SPLIT_MIN:
-        _matmul_split(kernel, a_t, b, out, threads)
+        _matmul_split(_matmul_numpy, a_t, b, out, threads)
     else:
-        kernel(a_t, b, out)
+        _matmul_numpy(a_t, b, out)
     return out
 
 

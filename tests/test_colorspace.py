@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromapad.colorspace import (
     ColorImage,
@@ -104,6 +106,32 @@ class TestPpm:
         img = rgb_to_hsv(make_image([[(1, 2, 3)]]))
         with pytest.raises(SpaceError):
             to_ppm_bytes(img)
+
+
+VALID_PPM = b"P6\n2 1\n255\n\xff\x00\x00\x00\xff\x00"
+
+
+@st.composite
+def ppm_span_mutations(draw):
+    """`VALID_PPM` with one span replaced by arbitrary bytes or by header
+    characters (digits, whitespace, comment marks)."""
+    start = draw(st.integers(0, len(VALID_PPM)))
+    end = draw(st.integers(start, len(VALID_PPM)))
+    patch = draw(st.one_of(st.binary(max_size=8),
+                           st.text("0123456789 \t\r\n#P", max_size=8)
+                           .map(str.encode)))
+    return VALID_PPM[:start] + patch + VALID_PPM[end:]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=64), ppm_span_mutations()))
+def test_load_ppm_loads_or_raises_parse_error_in_range(data):
+    try:
+        img = load_ppm(data)
+    except PpmParseError as exc:
+        assert 0 <= exc.offset <= len(data)
+    else:
+        assert img.pixels.shape == (img.height, img.width, 3)
 
 
 class TestHsv:

@@ -862,17 +862,6 @@ class TestAblation:
             ablation_csv(rows)
 
 
-def test_forward_identical_without_compiled_kernels(monkeypatch):
-    import chromapad.tensor_ops as T
-
-    m = build_model(small_config())
-    img = random_image(16, seed=30)
-    fast, _ = forward(m, img)
-    monkeypatch.setattr(T, "_matmul_compiled", None)
-    slow, _ = forward(m, img)
-    assert fast == slow
-
-
 def test_paper_dq_forward_copies_no_large_operand(tmp_path, monkeypatch):
     # weights are held input-major and large products with m > n swap, so
     # every operand that `batched_matmul` would copy (one not C-contiguous)
