@@ -174,6 +174,9 @@ def _cmd_ablate(args):
                 raise ChromapadError(
                     f"grid entry {i}: {key!r} must be a JSON string, "
                     f"got {type(entry[key]).__name__}")
+            if "\0" in entry.get(key, ""):
+                raise ChromapadError(
+                    f"grid entry {i}: {key!r} holds a NUL character")
         cfg = ModelConfig.from_json_dict(entry["config"])
         if "scores" in entry:
             path = _resolve(entry["scores"], args.scores_dir)
@@ -215,10 +218,6 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except ChromapadError as exc:
         print(f"chromapad {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"chromapad {args.command}: invalid input data: {exc}",
-              file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"chromapad {args.command}: {exc}", file=sys.stderr)

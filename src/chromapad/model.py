@@ -45,6 +45,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
 import os
 import signal
 import stat
@@ -119,8 +120,8 @@ _FIELD_TYPES = {
 
 def _field_problems(obj, where=""):
     """(field, problem) pairs of ``obj``'s fields against their declared
-    types; an int field must also be >= 1 (``seed`` >= 0), and each
-    dataclass entry of an array field is checked in turn."""
+    types; an int field must also be >= 1 (``seed`` >= 0) and fit in an
+    int64, and each dataclass entry of an array field is checked in turn."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         want, kind = _FIELD_TYPES[f.type]
@@ -128,8 +129,9 @@ def _field_problems(obj, where=""):
         if type(value) is not want:
             yield f.name, (f"{where}{f.name} must be {kind}, "
                            f"got {type(value).__name__}")
-        elif want is int and value < low:
-            yield f.name, f"{where}{f.name} must be >= {low}, got {value}"
+        elif want is int and not low <= value < 2**63:
+            yield f.name, (f"{where}{f.name} must be >= {low} and below "
+                           f"2**63, got {value}")
         elif want is tuple:
             for i, item in enumerate(value):
                 if is_dataclass(item):
@@ -301,9 +303,7 @@ def read_json(path, what):
     except RecursionError:
         raise ChromapadError(f"{what} {path} nests too deeply to parse") \
             from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:  # an integer past Python's digit limit
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise ChromapadError(f"{what} {path} cannot be parsed: {exc}") \
             from None
 
@@ -546,42 +546,36 @@ def _share_cpus():
     return sorted(os.sched_getaffinity(0))
 
 
-def _score_share(score, paths, share, cpu, write_fd):
-    """Body of a forked child: score ``share`` pinned to ``cpu``, writing
-    each score to ``write_fd`` as 8 float64 bytes. Never returns, so the
-    child never runs its caller's code or flushes its caller's buffers."""
+def _score_share(score, paths, share, cpu, slots):
+    """Body of a forked child: score ``share`` pinned to ``cpu`` into its
+    float64 ``slots``. Never returns, so the child never runs its caller's
+    code or flushes its caller's buffers."""
     code = 1
     try:
         os.sched_setaffinity(0, {cpu})
         for i in share:
-            os.write(write_fd, struct.pack("d", score(paths[i])))
+            struct.pack_into("d", slots, 8 * i, score(paths[i]))
         code = 0
     finally:  # whatever was raised, BaseException included
         os._exit(code)
-
-
-def _read_to_eof(fd):
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def score_in_shares(score, paths):
     """``[score(p) for p in paths]``, with contiguous shares of ``paths``
     scored side by side, one per CPU, as forked processes.
 
-    With at least two paths and two CPUs the calling thread forks one child
-    per share after the first; each child pins itself to its own CPU, so
-    its products run serially, and sends back each score's exact float64
-    bytes. The caller pins itself to the first CPU for the first share and
-    restores its mask afterwards. It then reads every child's scores to
-    EOF and reaps every child, and scores in argument order whatever a
-    child did not hand back. Scoring is deterministic, so a failing path
-    raises exactly what the serial loop raises, and no exception crosses a
-    process boundary. If the caller's own share raises, every child is
-    killed and reaped before the exception propagates. Without ``os.fork``
-    or CPU affinity, or with one CPU or one path, this is the serial loop.
+    With at least two paths and two CPUs the calling thread maps one
+    float64 slot per path, all NaN, into memory it shares with the children
+    it then forks, one per share after the first. Each child pins itself to
+    its own CPU, so its products run serially, and stores each score in its
+    slot. The caller pins itself to the first CPU for the first share,
+    restores its mask afterwards and reaps every child; then it scores, in
+    argument order, every path whose slot still holds NaN. Scoring is
+    deterministic, so a failing path raises exactly what the serial loop
+    raises, and no exception crosses a process boundary. If the caller's
+    own share raises, every child is killed and reaped before the exception
+    propagates. Without ``os.fork`` or CPU affinity, or with one CPU or one
+    path, this is the serial loop.
     """
     paths = list(paths)
     cpus = _share_cpus()
@@ -591,43 +585,34 @@ def score_in_shares(score, paths):
     step = -(-len(paths) // width)
     shares = [range(i, min(i + step, len(paths)))
               for i in range(0, len(paths), step)]
-    got = [None] * len(paths)
-    children = []  # (pid, read fd, share)
-    try:
-        for cpu, share in zip(cpus[1:], shares[1:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # the caller scores this share itself
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                _score_share(score, paths, share, cpu, write_fd)
-            children.append((pid, read_fd, share))
-            os.close(write_fd)
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpus[0]})
+    with mmap.mmap(-1, 8 * len(paths)) as slots:
+        slots[:] = struct.pack("d", math.nan) * len(paths)
+        children = []
         try:
-            for i in shares[0]:
-                got[i] = score(paths[i])
+            for cpu, share in zip(cpus[1:], shares[1:]):
+                try:
+                    pid = os.fork()
+                except OSError:  # the caller scores this share itself
+                    break
+                if pid == 0:
+                    _score_share(score, paths, share, cpu, slots)
+                children.append(pid)
+            mask = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {cpus[0]})
+            try:
+                for i in shares[0]:
+                    struct.pack_into("d", slots, 8 * i, score(paths[i]))
+            finally:
+                os.sched_setaffinity(0, mask)
+        except BaseException:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            os.sched_setaffinity(0, mask)
-        for _, read_fd, share in children:
-            # a pipe write of 8 bytes is atomic, so a child that died
-            # mid-share leaves whole scores only
-            scores = struct.iter_unpack("d", _read_to_eof(read_fd))
-            for i, (value,) in zip(share, scores):
-                got[i] = value
-    except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read_fd, _ in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-    return [score(p) if value is None else value
+            for pid in children:
+                os.waitpid(pid, 0)
+        got = struct.unpack(f"{len(paths)}d", slots)
+    return [score(p) if math.isnan(value) else value
             for p, value in zip(paths, got)]
 
 

@@ -514,6 +514,16 @@ class TestGmacs:
         assert rc == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["input_size", "embed_dim", "seed"])
+    def test_integer_past_int64_exits_2(self, workspace, capsys, field):
+        # 10**400 would overflow the float behind the report's "gmacs"
+        for value in (2**63, 10**400):
+            bad = workspace["dir"] / "huge.json"
+            data = workspace["cfg"].to_json_dict()
+            data[field] = value
+            bad.write_text(json.dumps(data), encoding="utf-8")
+            assert main(["gmacs", "--config", str(bad)]) == EXIT_DATA
+            assert f"{field} must be >= " in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("attention_enabled", "false"), ("input_size", 16.0),
@@ -588,6 +598,17 @@ class TestAblate:
                    "--scores-dir", str(workspace["dir"])])
         assert rc == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["scores", "bonafide_images",
+                                     "attack_images"])
+    def test_nul_in_path_exits_2(self, workspace, capsys, key):
+        grid = workspace["dir"] / "grid.json"
+        grid.write_text(json.dumps(
+            [{"config": workspace["cfg"].to_json_dict(), "scores": "a.csv",
+              key: "a\0b"}]), encoding="utf-8")
+        assert main(["ablate", "--grid", str(grid)]) == EXIT_DATA
+        assert (f"grid entry 0: {key!r} holds a NUL character"
+                in capsys.readouterr().err)
 
     def test_scores_fd_zero_never_reads_stdin(self, workspace, capsys):
         grid = workspace["dir"] / "grid.json"
@@ -694,6 +715,13 @@ class TestTextInputs:
         assert rc == EXIT_DATA
         assert str(path) in err and "cannot be parsed" in err
 
+    @pytest.mark.parametrize("kind", ["config", "grid"])
+    def test_malformed_json_exits_2_with_line(self, workspace, capsys, kind):
+        path, rc = self.run(workspace, kind, b'{"seed": 1,\n  oops}')
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert f"{path} cannot be parsed: " in err and "line 2 column 3" in err
+
     def test_score_csv_nul_byte_exits_2_with_line(self, workspace, capsys):
         # before Python 3.11 the csv module itself rejects a NUL byte
         lines = self.valid_bytes(workspace, "scores").split(b"\n")
@@ -715,6 +743,18 @@ class TestTextInputs:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("error", [KeyError, TypeError])
+    def test_bug_in_subcommand_propagates(self, workspace, monkeypatch,
+                                          error):
+        # only ChromapadError and OSError are input faults; anything else
+        # is a bug and must not read as "invalid input"
+        def broken(cfg):
+            raise error("bug")
+
+        monkeypatch.setattr("chromapad.cli.model_complexity", broken)
+        with pytest.raises(error):
+            main(["gmacs", "--config", str(workspace["config"])])
+
     def test_unknown_subcommand_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

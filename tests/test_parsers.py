@@ -1,0 +1,224 @@
+"""Property tests for the parsers of user input other than PPM (whose test
+is in test_colorspace.py): config JSON, CFPA weight files, score CSVs and
+ablation grids.
+
+Each parser gets arbitrary input and single-span mutations of a valid
+input. Every input must either load or raise the parser's
+`ChromapadError`; through the CLI it exits 0, 2 or 3, never with a
+traceback.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chromapad.cli import EXIT_DATA, EXIT_IO, EXIT_OK, main
+from chromapad.errors import ChromapadError, ScoreCsvError, WeightFileError
+from chromapad.metrics import ScoreSet, read_scores_csv
+from chromapad.model import (ModelConfig, iter_tensor_file, read_tensor_file,
+                             write_tensor_file)
+from chromapad.quant import quantize_tensor
+
+CONFIG = ModelConfig(
+    input_size=16, embed_dim=8, num_heads=2, window=2, pool_factor=2,
+    backbone=[{"out_channels": 4, "stride": 2},
+              {"out_channels": 8, "stride": 2}], seed=5,
+).to_json_dict()
+
+SCORES_CSV = "label,score\nbonafide,0.9\nattack,0.1\nbonafide,0.7\n"
+
+# integers around every bound a field has: small ones, the int64 edge, and
+# ones too large for a float
+integers = st.one_of(st.integers(-2, 300), st.integers(),
+                     st.sampled_from([2**63 - 1, 2**63, 10**400]))
+
+# strings, with paths a grid entry may name among them
+texts = st.one_of(st.sampled_from(["", ".", "/", "scores.csv", "a\x00b"]),
+                  st.text(max_size=8))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | integers | st.floats() | texts,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner,
+                                     max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def span_mutations(draw, valid, patch):
+    """``valid`` (bytes or str) with one span replaced by a draw of
+    ``patch``."""
+    start = draw(st.integers(0, len(valid)))
+    end = draw(st.integers(start, len(valid)))
+    return valid[:start] + draw(patch) + valid[end:]
+
+
+@st.composite
+def object_mutations(draw, valid, keys=()):
+    """A copy of the JSON object ``valid`` with one key, of its own or of
+    ``keys``, deleted or set to an arbitrary JSON value."""
+    data = json.loads(json.dumps(valid))
+    key = draw(st.sampled_from(sorted(data) + list(keys))
+               | st.text(max_size=8))
+    if draw(st.booleans()):
+        data.pop(key, None)
+    else:  # most fields are integers
+        data[key] = draw(integers | json_values)
+    return data
+
+
+@st.composite
+def config_mutations(draw):
+    """`CONFIG` with one top-level field or one backbone entry field
+    mutated."""
+    if draw(st.booleans()):
+        return draw(object_mutations(CONFIG))
+    data = json.loads(json.dumps(CONFIG))
+    i = draw(st.integers(0, len(data["backbone"]) - 1))
+    data["backbone"][i] = draw(object_mutations(data["backbone"][i]))
+    return data
+
+
+json_text_patches = st.one_of(
+    st.text(max_size=8),
+    st.text('0123456789-+.eE ,:[]{}"truefalsn', max_size=8))
+
+
+def json_documents(valid, value_mutations):
+    """Bytes of a JSON file: an arbitrary value, a value mutation of
+    ``valid``, or a text span mutation of its JSON text."""
+    return st.one_of(
+        st.one_of(json_values, value_mutations).map(json.dumps),
+        span_mutations(json.dumps(valid), json_text_patches),
+    ).map(str.encode)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    # module-scoped: hypothesis runs every example of a test under one
+    # instance of a function-scoped fixture
+    return tmp_path_factory.mktemp("parsers")
+
+
+# --- config JSON -------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values, config_mutations()))
+def test_config_loads_or_raises_chromapad_error(data):
+    try:
+        cfg = ModelConfig.from_json_dict(data)
+    except ChromapadError:
+        return
+    assert ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents(CONFIG, config_mutations()))
+def test_gmacs_exits_0_or_2_on_any_config_file(work, data):
+    path = work / "config.json"
+    path.write_bytes(data)
+    rc = main(["gmacs", "--config", str(path),
+               "--out", str(work / "gmacs.json")])
+    assert rc in (EXIT_OK, EXIT_DATA)
+
+
+# --- CFPA weight files -------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cfpa(work):
+    """A CFPA file with a float and a quantized tensor, as bytes."""
+    rng = np.random.default_rng(0)
+    q, _ = quantize_tensor("b.q", rng.standard_normal((2, 3)), policy=["b."])
+    path = work / "valid.cfpa"
+    write_tensor_file({"a.w": rng.standard_normal((3, 2, 1)), "b.q": q},
+                      path)
+    return path.read_bytes()
+
+
+# header fields: counts, lengths, dtype and rank codes, extents
+cfpa_patches = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([0, 1, 4, 2**31, 2**32 - 1]).map(
+        lambda v: struct.pack("<I", v)),
+    st.sampled_from([0, 1, 2**32, 2**62, 2**63, 2**64 - 1]).map(
+        lambda v: struct.pack("<Q", v)),
+    st.integers(0, 5).map(lambda v: bytes([v])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cfpa_loads_or_raises_weight_file_error(work, cfpa, data):
+    blob = data.draw(st.one_of(st.binary(max_size=96),
+                               span_mutations(cfpa, cfpa_patches)))
+    path = work / "input.cfpa"
+    path.write_bytes(blob)
+    for read in (read_tensor_file, lambda p: dict(iter_tensor_file(p))):
+        try:
+            tensors = read(path)
+        except WeightFileError:
+            continue
+        for value in tensors.values():
+            arr = getattr(value, "qdata", value)
+            assert arr.dtype in (np.float32, np.int8)
+            assert 1 <= arr.ndim <= 4
+
+
+# --- score CSVs --------------------------------------------------------------
+
+csv_patches = st.one_of(
+    st.text(max_size=8),
+    st.text('abcdefilnorst,"\n\r .-+e0123456789', max_size=8),
+    st.sampled_from(["bonafide", "attack", "label", "score", "nan", "inf",
+                     "1e999", "\x00"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=64),
+                 span_mutations(SCORES_CSV, csv_patches)))
+def test_score_csv_loads_or_raises_error_with_line(text):
+    try:
+        scores = read_scores_csv(text)
+    except ScoreCsvError as exc:
+        assert exc.line >= 1
+    else:
+        assert isinstance(scores, ScoreSet)
+
+
+# --- ablation grids ----------------------------------------------------------
+
+ENTRY = {"config": CONFIG, "scores": "scores.csv"}
+PATH_KEYS = ("scores", "bonafide_images", "attack_images")
+
+
+@st.composite
+def grid_mutations(draw):
+    """A one- or two-entry grid with one entry's config, path or key
+    mutated. The scores directory holds no PPM files, so no image entry
+    builds a model."""
+    entry = json.loads(json.dumps(ENTRY))
+    kind = draw(st.sampled_from(["path", "config", "key"]))
+    if kind == "path":
+        entry[draw(st.sampled_from(PATH_KEYS))] = draw(texts)
+    elif kind == "config":
+        entry["config"] = draw(config_mutations())
+    else:
+        entry = draw(object_mutations(entry, keys=PATH_KEYS))
+    grid = draw(st.permutations([entry, ENTRY]))
+    return grid[:draw(st.integers(1, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents([ENTRY], grid_mutations()))
+def test_ablate_exits_0_2_or_3_on_any_grid_file(work, data):
+    (work / "scores.csv").write_text(SCORES_CSV, encoding="utf-8")
+    path = work / "grid.json"
+    path.write_bytes(data)
+    rc = main(["ablate", "--grid", str(path), "--scores-dir", str(work),
+               "--out", str(work / "table.csv")])
+    assert rc in (EXIT_OK, EXIT_DATA, EXIT_IO)

@@ -158,6 +158,33 @@ def test_child_exiting_mid_share_changes_no_byte(workspace, monkeypatch,
     assert (third in calls) == (exit_on_call == 1)
 
 
+def test_children_scoring_nan_change_no_byte(workspace, monkeypatch):
+    # every slot a child fills reads NaN, so the caller scores those images
+    # again, as it does any image no child scored
+    monkeypatch.setattr(M, "_share_cpus", lambda: [CPU0] * 3)
+    parent = os.getpid()
+
+    def nan_in_children(model, data):
+        if os.getpid() != parent:
+            return float("nan")
+        return forward_ppm(model, data)
+
+    monkeypatch.setattr(cli, "forward_ppm", nan_in_children)
+    rc, out = infer(workspace, workspace["images"])
+    assert rc == EXIT_OK
+    assert out.read_bytes() == serial_rows(workspace, workspace["images"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_shares_leave_no_descriptor_open(workspace, monkeypatch):
+    monkeypatch.setattr(M, "_share_cpus", lambda: [CPU0] * 3)
+    before = len(os.listdir("/proc/self/fd"))
+    rc, _ = infer(workspace, workspace["images"])
+    assert rc == EXIT_OK
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_failing_own_share_kills_and_reaps_children(monkeypatch):
     parent = os.getpid()
     mask = os.sched_getaffinity(0)
