@@ -120,8 +120,7 @@ def _cmd_eval(args):
     alphas = tuple(args.apcer) if args.apcer else _APCER_CAPS
     report = evaluate_scores(scores, alphas)
     if args.det:
-        with open(args.det, "w", encoding="utf-8", newline="") as fh:
-            fh.write(det_csv(scores))
+        _emit(det_csv(scores), args.det)
     _emit(json.dumps(report) + "\n", args.out)
     return EXIT_OK
 

@@ -5,7 +5,8 @@ score >= threshold" (ties accepted as bona fide). APCER at a threshold is
 the fraction of attack scores accepted; BPCER is the fraction of bona fide
 scores rejected. The DET curve sweeps every unique score plus one sentinel
 below the minimum and one above the maximum. EER on discrete data is the
-midpoint of the two rates at the threshold minimizing their gap.
+midpoint of the two rates at the threshold minimizing their gap. A score's
+magnitude stays below 2**1023, so every sentinel is finite and exact.
 
 Every operating point is read by index from one array sweep: thresholds
 ascend, APCER never rises and BPCER never falls along it, so the EER is the
@@ -27,11 +28,13 @@ from .errors import ConfigError, ScoreCsvError
 SCORE_CSV_HEADER = ("label", "score")
 DET_CSV_HEADER = ("threshold", "apcer", "bpcer")
 _APCER_CAPS = (0.05, 0.10)  # default operating points of every report
+# scores of this magnitude or more are rejected: a sentinel would overflow
+_SCORE_BOUND = 2.0 ** 1023
 
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Labeled score lists; both sides non-empty, all values finite."""
+    """Labeled score lists; both non-empty, every magnitude below 2**1023."""
 
     bonafide: np.ndarray
     attack: np.ndarray
@@ -41,8 +44,9 @@ class ScoreSet:
             arr = np.asarray(getattr(self, name), np.float64).reshape(-1)
             if arr.size == 0:
                 raise ConfigError(f"score set has no {name} scores")
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"{name} scores contain non-finite values")
+            if not (np.abs(arr) < _SCORE_BOUND).all():  # NaN compares False
+                raise ConfigError(f"{name} scores contain non-finite values "
+                                  f"or magnitudes of 2**1023 or more")
             object.__setattr__(self, name, arr)
 
 
@@ -143,11 +147,18 @@ def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
 
 
 def evaluate_scores(s: ScoreSet, alphas=_APCER_CAPS):
-    """EER, its threshold, and BPCER at each APCER cap, from one DET sweep."""
+    """EER, its threshold, and BPCER at each APCER cap, from one DET sweep;
+    two caps that render as one key are a ConfigError."""
     sweep = _sweep(s)
     rate, tau = _operating_point(sweep)
-    bpcer_block = {f"{alpha:g}": _operating_point(sweep, alpha)[0]
-                   for alpha in alphas}
+    bpcer_block, caps = {}, {}
+    for alpha in alphas:
+        key = f"{alpha:g}"
+        if key in caps:
+            raise ConfigError(f"APCER caps {caps[key]} and {alpha} both "
+                              f"render as key {key}")
+        caps[key] = alpha
+        bpcer_block[key] = _operating_point(sweep, alpha)[0]
     return {"eer": rate, "threshold": tau, "bpcer_at": bpcer_block}
 
 
@@ -186,6 +197,9 @@ def _read_score_rows(reader) -> ScoreSet:
                                 reader.line_num) from None
         if not math.isfinite(score):
             raise ScoreCsvError(f"score is not finite: {raw!r}",
+                                reader.line_num)
+        if abs(score) >= _SCORE_BOUND:
+            raise ScoreCsvError(f"score magnitude reaches 2**1023: {raw!r}",
                                 reader.line_num)
         if label == "bonafide":
             bona.append(score)

@@ -58,6 +58,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .attention import (
+    PUBLISHED_ATTENTION,
     AttentionParams,
     WindowAttentionConfig,
     multi_head_window_attention,
@@ -91,7 +92,6 @@ from .tensor_ops import BatchNormParams, c_order_pieces, input_major
 
 WEIGHT_MAGIC = b"CFPA"
 WEIGHT_VERSION = 1
-BN_EPSILON = 1e-5
 _DRAW_CHUNK = 1 << 16  # float64 values per uniform draw in build_model
 _PIECE = 1 << 19  # bytes per piece relaid between file order and memory
 _TILE = 64  # elements per row of one tile of a strided write
@@ -198,9 +198,9 @@ class ModelConfig:
         """Published attention dimensions: d=768, 24 heads, 7x7 windows."""
         defaults = dict(
             preset="paper",
-            embed_dim=768,
-            num_heads=24,
-            window=7,
+            embed_dim=PUBLISHED_ATTENTION.embed_dim,
+            num_heads=PUBLISHED_ATTENTION.num_heads,
+            window=PUBLISHED_ATTENTION.window,
             backbone=(
                 BackboneBlockSpec(32, 2),
                 BackboneBlockSpec(64, 2),
@@ -397,7 +397,7 @@ def _stage_params(cfg, plan, arrays):
                 # shapes already match the plan, so only a negative
                 # running_var (the last spec) can fail the check
                 try:
-                    a = [a[0], BatchNormParams(*a[1:], BN_EPSILON)]
+                    a = [a[0], BatchNormParams(*a[1:])]
                 except ConfigError as exc:
                     raise WeightFileError(
                         f"tensor {layer.specs[-1].name!r}: {exc}") from None

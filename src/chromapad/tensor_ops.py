@@ -16,8 +16,8 @@ the same products (IEEE multiplication commutes) summed in the same
 ascending-k order, and returns the transposed view of that result. A large
 product is split into contiguous shares of batch entries or output rows,
 one per CPU the calling thread may run on (read per call), each run by the
-calling thread or by a thread joined before the call returns, so every
-output element is still one thread's ascending-k sum.
+calling thread or by a worker of a pool the call makes and joins before it
+returns, so every output element is still one thread's ascending-k sum.
 
 The layout rule: a weight of shape (outputs, inputs...) is held
 input-major, meaning its (inputs, outputs) transpose is the contiguous
@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,11 +188,14 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _matmul_split(kernel, a_t, b, out, threads):
+def _matmul_split(a_t, b, out, threads):
     # contiguous shares of batch entries, or of output rows when there are
-    # fewer entries than threads; the caller runs the first share and a
-    # thread of its own runs each other one. Every started thread is joined
-    # before this returns or raises, so none outlives the call
+    # fewer entries than threads. The caller runs the first share and a pool
+    # of this call the rest, at most one worker each; leaving the block joins
+    # them all. The caller's error wins, then the lowest failing share's
+    # imported on first use: it pulls in logging, ~6-8 ms at import time
+    from concurrent.futures import ThreadPoolExecutor
+
     batch, _, m = a_t.shape
     if batch >= threads:
         step = -(-batch // threads)
@@ -203,27 +205,12 @@ def _matmul_split(kernel, a_t, b, out, threads):
         step = -(-m // threads)
         shares = [(a_t[:, :, i:i + step], b, out[:, i:i + step])
                   for i in range(0, m, step)]
-    errors = []
-
-    def run(*share):
-        try:
-            kernel(*share)
-        except Exception as exc:
-            errors.append(exc)
-
-    started = []
-    try:
-        for share in shares[1:]:
-            thread = threading.Thread(target=run, args=share,
-                                      name="chromapad-matmul")
-            thread.start()
-            started.append(thread)
-        kernel(*shares[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(threads - 1,
+                            thread_name_prefix="chromapad-matmul") as pool:
+        futures = [pool.submit(_matmul_numpy, *share) for share in shares[1:]]
+        _matmul_numpy(*shares[0])
+    for future in futures:
+        future.result()
 
 
 def batched_matmul(a, b) -> np.ndarray:
@@ -260,7 +247,7 @@ def _contract(a_t, b, out):
     # products, whose thread start-up would outweigh their work, stay serial
     threads = _usable_cpus()
     if threads > 1 and out.size >= threads * _SPLIT_MIN:
-        _matmul_split(_matmul_numpy, a_t, b, out, threads)
+        _matmul_split(a_t, b, out, threads)
     else:
         _matmul_numpy(a_t, b, out)
     return out
@@ -367,13 +354,12 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
     @classmethod
-    def identity(cls, channels: int, epsilon: float = 1e-5) -> "BatchNormParams":
+    def identity(cls, channels: int) -> "BatchNormParams":
         return cls(
             gamma=np.ones(channels, np.float32),
             beta=np.zeros(channels, np.float32),
             running_mean=np.zeros(channels, np.float32),
             running_var=np.ones(channels, np.float32),
-            epsilon=epsilon,
         )
 
 

@@ -294,6 +294,30 @@ class TestEval:
         assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
         assert table[0][1:] == [1.0, 0.0] and table[-1][1:] == [0.0, 1.0]
 
+    def test_score_of_magnitude_2_1023_exits_2_naming_line(self, workspace,
+                                                            capsys):
+        # its DET sentinel would overflow to -inf, and the report would
+        # print a threshold of -Infinity, which is not JSON
+        path = workspace["dir"] / "overflow.csv"
+        path.write_text("label,score\nbonafide,0.5\nbonafide,-1.7e308\n"
+                        "attack,-1.7e308\n", encoding="utf-8")
+        det_path = workspace["dir"] / "overflow_det.csv"
+        rc = main(["eval", "--scores", str(path), "--det", str(det_path)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert captured.err == ("chromapad eval: score magnitude reaches "
+                                "2**1023: '-1.7e308' (line 3)\n")
+        assert captured.out == "" and not det_path.exists()
+
+    def test_apcer_caps_that_print_alike_exit_2(self, workspace, capsys):
+        rc = main(["eval", "--scores", str(workspace["scores"]),
+                   "--apcer", "0.1", "--apcer", "0.1000001"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert captured.err == ("chromapad eval: APCER caps 0.1 and "
+                                "0.1000001 both render as key 0.1\n")
+        assert captured.out == ""
+
     def test_perfectly_separated_eer_zero(self, workspace, capsys):
         path = workspace["dir"] / "sep.csv"
         path.write_text("label,score\nbonafide,0.9\nbonafide,0.8\n"

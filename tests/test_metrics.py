@@ -238,6 +238,15 @@ class TestScoreSetValidation:
         with pytest.raises(ConfigError):
             ScoreSet(bonafide=[np.nan], attack=[1.0])
 
+    def test_magnitude_bound(self):
+        # below 2**1023 both sentinels are finite; at it one would overflow
+        below = np.nextafter(2.0 ** 1023, 0)
+        s = ScoreSet(bonafide=[below], attack=[-below])
+        assert all(math.isfinite(p.threshold) for p in det_curve(s))
+        for score in (2.0 ** 1023, -2.0 ** 1023):
+            with pytest.raises(ConfigError, match="2\\*\\*1023"):
+                ScoreSet(bonafide=[score], attack=[0.0])
+
 
 class TestCsv:
     def test_round_trip(self):
@@ -316,5 +325,8 @@ def test_evaluate_scores_block():
     report = evaluate_scores(s, alphas=(0.05, 0.10))
     assert set(report) == {"eer", "threshold", "bpcer_at"}
     assert set(report["bpcer_at"]) == {"0.05", "0.1"}
+    for caps in ((0.1, 0.1000001), (0.05, 0.05)):
+        with pytest.raises(ConfigError, match="both render as key"):
+            evaluate_scores(s, alphas=caps)
     rate, tau = eer(s)
     assert report["eer"] == rate and report["threshold"] == tau

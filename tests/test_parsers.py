@@ -9,6 +9,7 @@ traceback.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -20,7 +21,7 @@ from chromapad.cli import EXIT_DATA, EXIT_IO, EXIT_OK, main
 from chromapad.errors import ChromapadError, ScoreCsvError, WeightFileError
 from chromapad.metrics import ScoreSet, read_scores_csv
 from chromapad.model import (ModelConfig, iter_tensor_file, read_tensor_file,
-                             write_tensor_file)
+                             read_text, write_tensor_file)
 from chromapad.quant import quantize_tensor
 
 CONFIG = ModelConfig(
@@ -174,7 +175,8 @@ csv_patches = st.one_of(
     st.text(max_size=8),
     st.text('abcdefilnorst,"\n\r .-+e0123456789', max_size=8),
     st.sampled_from(["bonafide", "attack", "label", "score", "nan", "inf",
-                     "1e999", "\x00"]),
+                     "1e999", "\x00", "-1.7e308", "8.98846567431158e307",
+                     "8.988465674311579e307"]),
 )
 
 
@@ -188,6 +190,40 @@ def test_score_csv_loads_or_raises_error_with_line(text):
         assert exc.line >= 1
     else:
         assert isinstance(scores, ScoreSet)
+
+
+score_csvs = st.one_of(
+    span_mutations(SCORES_CSV, csv_patches),
+    st.lists(st.tuples(st.sampled_from(["bonafide", "attack"]), st.floats()),
+             min_size=2, max_size=6).map(
+        lambda rows: "label,score\n" + "".join(f"{label},{value!r}\n"
+                                               for label, value in rows)),
+)
+
+
+def no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_csvs)
+def test_accepted_score_csv_evaluates_to_json_and_finite_det(work, text):
+    # every score read_scores_csv accepts keeps the report strict JSON and
+    # every DET threshold finite, extreme scores included
+    path = work / "scores.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        read_scores_csv(read_text(path, "score CSV"))
+    except ScoreCsvError:
+        return
+    rc = main(["eval", "--scores", str(path), "--det", str(work / "det.csv"),
+               "--out", str(work / "report.json")])
+    assert rc == EXIT_OK
+    json.loads((work / "report.json").read_text("utf-8"),
+               parse_constant=no_constant)
+    rows = (work / "det.csv").read_text("utf-8").splitlines()[1:]
+    assert rows and all(math.isfinite(float(row.split(",")[0]))
+                        for row in rows)
 
 
 # --- ablation grids ----------------------------------------------------------

@@ -422,9 +422,9 @@ def split_threads(request, monkeypatch):
     splits = []
     real_split = T._matmul_split
 
-    def recording_split(kernel, a_t, b, out, threads):
+    def recording_split(a_t, b, out, threads):
         splits.append(out.shape)
-        real_split(kernel, a_t, b, out, threads)
+        real_split(a_t, b, out, threads)
 
     monkeypatch.setattr(T, "_usable_cpus", lambda: request.param)
     monkeypatch.setattr(T, "_matmul_split", recording_split)
@@ -437,6 +437,14 @@ def serial_kernel_product(a, b):
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), np.float32)
     T._matmul_numpy(np.ascontiguousarray(a.transpose(0, 2, 1)), b, out)
     return out
+
+
+def matmul_threads():
+    """The live threads a split product started."""
+    import threading
+
+    return [t for t in threading.enumerate()
+            if t.name.startswith("chromapad-matmul")]
 
 
 def random_operands(seed, batch, m, k, n):
@@ -505,7 +513,7 @@ class TestSplitProducts:
         real_start = threading.Thread.start
 
         def recording_start(thread):
-            if thread.name == "chromapad-matmul":
+            if thread.name.startswith("chromapad-matmul"):
                 started.append(thread)
             real_start(thread)
 
@@ -534,6 +542,23 @@ class TestSplitProducts:
         got = batched_matmul(a, b)
         assert split_threads == [got.shape]
         assert threading.active_count() == before
+        assert not matmul_threads()
+
+    def test_one_row_split_starts_no_thread(self, split_threads,
+                                            monkeypatch):
+        import threading
+        import chromapad.tensor_ops as T
+
+        # one output row past the gate: its only share runs in the caller
+        n = T._usable_cpus() * T._SPLIT_MIN
+        a, b = random_operands(8, 1, 1, 3, n)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread))
+        got = batched_matmul(a, b)
+        assert split_threads == [(1, 1, n)]
+        assert started == []
+        assert got.tobytes() == serial_kernel_product(a, b).tobytes()
 
     def test_failing_share_raises_after_every_thread_ends(
             self, split_threads, monkeypatch):
@@ -561,6 +586,43 @@ class TestSplitProducts:
         assert len(ran_on) == T._usable_cpus()
         assert not any(t.is_alive() for t in ran_on
                        if t is not threading.current_thread())
+        assert not matmul_threads()
+
+    @pytest.mark.parametrize("caller_fails", [False, True])
+    def test_lowest_failing_share_raises(self, monkeypatch, caller_fails):
+        # share 2 fails first, and share 1 fails only after share 2's
+        # thread has had time to end; still share 1's error is raised, or
+        # the caller's (share 0) when it fails too
+        import threading
+        import chromapad.tensor_ops as T
+
+        class ShareFailure(Exception):
+            pass
+
+        failed = threading.Event()
+        second = []
+
+        def kernel(a_t, b, out):
+            # 301 rows over 3 threads: shares start at rows 0, 101 and 202
+            start = (out.ctypes.data - out.base.ctypes.data) // out.strides[1]
+            share = start // 101
+            if share == 2:
+                second.append(threading.current_thread())
+                failed.set()
+            elif share == 1:
+                assert failed.wait(timeout=30)
+                second[0].join(timeout=0.5)
+            elif not caller_fails:
+                return
+            raise ShareFailure(share)
+
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(T, "_matmul_numpy", kernel)
+        a, b = random_operands(7, 1, 301, 5, 500)
+        with pytest.raises(ShareFailure) as info:
+            batched_matmul(a, b)
+        assert info.value.args == (0 if caller_fails else 1,)
+        assert not matmul_threads()
 
     def test_concurrent_splits_match_serial_kernel(self, split_threads):
         import sys
@@ -722,7 +784,7 @@ class TestOrientation:
         splits = []
         real_split = T._matmul_split
         monkeypatch.setattr(T, "_matmul_split", lambda *args: (
-            splits.append(args[3].shape), real_split(*args)))
+            splits.append(args[2].shape), real_split(*args)))
         rng = np.random.default_rng(threads)
         for batch, m, k, n in self.SHAPES:
             a, b = wide_operands(rng, batch, m, k, n)
@@ -937,6 +999,15 @@ def test_import_and_eval_never_probe(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # the product afterwards is the first, and runs the probe once
     assert proc.stdout.split() == ["0", "0", "0", "1"]
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # a split product imports concurrent.futures (and with it logging) on
+    # its first call, so `import chromapad` does not pay for it
+    proc = _run_script("import sys, chromapad, chromapad.cli; "
+                       "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 _THREAD_STATE_SCRIPT = """
