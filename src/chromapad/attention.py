@@ -101,13 +101,10 @@ def relative_index_map(window: int) -> np.ndarray:
     """
     if window < 1:
         raise ConfigError(f"window must be positive, got {window}")
-    coords = np.stack(
-        np.meshgrid(np.arange(window), np.arange(window), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, 2)
-    delta = coords[:, None, :] - coords[None, :, :]
-    return (delta[..., 0] + window - 1) * (2 * window - 1) \
-        + (delta[..., 1] + window - 1)
+    # rows and columns share the offsets; token i is (row, col) = divmod(i, w)
+    offset = np.subtract.outer(np.arange(window), np.arange(window)) + window - 1
+    return ((offset * (2 * window - 1))[:, None, :, None]
+            + offset[None, :, None, :]).reshape(window ** 2, window ** 2)
 
 
 def expand_relative_bias(table, window: int) -> np.ndarray:

@@ -102,8 +102,9 @@ def bottleneck_project(features, weight, bias=None) -> np.ndarray:
 def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
     """Elementwise-sum (H, W, d) branch token maps, then mix channels.
 
-    The per-element addends are sorted by value before the ascending fold,
-    so the result is bit-identical under any permutation of the branches.
+    The per-element addends are summed in ascending order of value (a sort
+    beyond three branches), so the result is bit-identical under any
+    permutation of the branches.
     The mix is a 1x1 convolution with the (d, d) weight; the result is the
     (d, H, W) channel map.
     """
@@ -125,6 +126,15 @@ def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
             f"mix weight shape {mix_weight.shape}, expected ({d}, {d})")
     if len(branches) == 1:
         total = branches[0]
+    elif len(branches) == 2:  # IEEE addition commutes
+        total = branches[0] + branches[1]
+    elif len(branches) == 3:
+        # a min/max network: the two smaller addends (in either order), then
+        # the largest. A -0.0/+0.0 tie may leave an all-zero total either
+        # sign, which the mix, starting every sum at +0.0, never shows
+        a, b, c = branches
+        hi = np.maximum(a, b)
+        total = (np.minimum(a, b) + np.minimum(hi, c)) + np.maximum(hi, c)
     else:
         stacked = np.sort(np.stack(branches, axis=0), axis=0)
         total = stacked[0]

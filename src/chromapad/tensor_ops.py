@@ -7,16 +7,18 @@ pure functions and never mutate their inputs.
 
 `batched_matmul` is the one contraction kernel: `matmul` is its batch of one
 and `conv2d` runs every group as one batch entry; batching never changes the
-order of one output element's sum. Operands may be any strided views: the
-kernel reads one operand in place and broadcasts it, and copies the other
-only when it is not C-contiguous. Which is which follows the output: a
+order of one output element's sum. A stride-1 depthwise `conv2d` instead
+runs its taps in ascending order as shifted multiply-then-add ufunc calls,
+the triple loop's operations. Operands may be any strided views: the kernel
+reads one operand in place and broadcasts it, and copies the other only
+when it is not C-contiguous. Which is which follows the output: a
 product with at least `_SPLIT_MIN` outputs per batch entry and more rows
 than columns runs as ``c.T = b.T @ a.T`` along its longer output axis, with
 the same products (IEEE multiplication commutes) summed in the same
 ascending-k order, and returns the transposed view of that result. A large
 product is split into contiguous shares of batch entries or output rows,
 one per CPU the calling thread may run on (read per call), each run by the
-calling thread or by a worker of a pool the call makes and joins before it
+calling thread or by a thread the call starts and joins before it
 returns, so every output element is still one thread's ascending-k sum.
 
 The layout rule: a weight of shape (outputs, inputs...) is held
@@ -47,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +66,10 @@ MAX_RANK = 4
 # the heap from shrinking once they are freed (~13 MB more peak RSS at
 # paper size). Taking it at import, while the heap is small, keeps it low.
 np.ones(1 << 15) + 0.0
+# Freeing a 1.36 MB block raises glibc's mmap threshold to its size and the
+# trim threshold to twice that, so a forward's temporaries recycle heap
+# pages: ~1 minor fault per desk forward, where 1 MB left ~450 and none ~2200.
+np.empty(340_000, np.float32)
 
 
 def tensor(data) -> np.ndarray:
@@ -190,12 +197,10 @@ def _usable_cpus():
 
 def _matmul_split(a_t, b, out, threads):
     # contiguous shares of batch entries, or of output rows when there are
-    # fewer entries than threads. The caller runs the first share and a pool
-    # of this call the rest, at most one worker each; leaving the block joins
-    # them all. The caller's error wins, then the lowest failing share's
-    # imported on first use: it pulls in logging, ~6-8 ms at import time
-    from concurrent.futures import ThreadPoolExecutor
-
+    # fewer entries than threads. The caller runs the first share and a
+    # thread each the rest, all joined before it returns. The caller's error
+    # wins, then the lowest failing share's. No pool: importing its module
+    # at the first split would put long-lived objects above loaded weights
     batch, _, m = a_t.shape
     if batch >= threads:
         step = -(-batch // threads)
@@ -205,12 +210,25 @@ def _matmul_split(a_t, b, out, threads):
         step = -(-m // threads)
         shares = [(a_t[:, :, i:i + step], b, out[:, i:i + step])
                   for i in range(0, m, step)]
-    with ThreadPoolExecutor(threads - 1,
-                            thread_name_prefix="chromapad-matmul") as pool:
-        futures = [pool.submit(_matmul_numpy, *share) for share in shares[1:]]
+    errors = [None] * len(shares)
+
+    def run(i):
+        try:
+            _matmul_numpy(*shares[i])
+        except BaseException as exc:  # raised in the caller below
+            errors[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,), name=f"chromapad-matmul_{i}")
+               for i in range(1, len(shares))]
+    for worker in workers:
+        worker.start()
+    try:
         _matmul_numpy(*shares[0])
-    for future in futures:
-        future.result()
+    finally:
+        for worker in workers:
+            worker.join()
+    for exc in filter(None, errors):
+        raise exc
 
 
 def batched_matmul(a, b) -> np.ndarray:
@@ -276,7 +294,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     with stride 1 and no padding is a pointwise channel mix. Output extents
     must come out as exact positive integers; nothing is silently truncated.
     Taps accumulate in ascending (channel, kernel row, kernel col) order.
-    All groups run as one `batched_matmul`, one batch entry per group.
+    All groups run as one `batched_matmul`, one batch entry per group, but
+    a stride-1 depthwise convolution runs tap by tap, with the same bits.
     """
     x = _as_f32(x, 3, "conv2d input")
     weight = _as_f32(weight, 4, "conv2d weight")
@@ -303,17 +322,36 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
             f"{x.shape}, kernel {k_h}x{k_w}, stride {stride}, padding {padding}"
         )
 
-    padded = np.pad(x, [(0, 0)] + [(padding, padding)] * 2) if padding else x
-    # one (groups, taps, pixels) patch tensor, taps row-major over (channel,
-    # kernel row, kernel col); the batched matmul's ascending-k sweep IS
-    # the ascending tap order per output element
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (k_h, k_w), axis=(1, 2))[:, ::stride, ::stride]
-    _, out_h, out_w = windows.shape[:3]
-    taps = c_in_g * k_h * k_w
-    patches = windows.transpose(0, 3, 4, 1, 2).reshape(groups, taps, -1)
-    flat = weight.reshape(groups, c_out // groups, taps)
-    out = batched_matmul(flat, patches).reshape(c_out, out_h, out_w)
+    if stride == 1 and groups == c_in == c_out:
+        # with the input padded once (plus a spare row) and flat per channel,
+        # tap (i, j) of every output sits at offset i * row + j: one multiply
+        # of a slice, one add into the zeroed sum, the triple loop's rounding.
+        # Outputs past the last column wrap into the next row, cut off unwarned
+        row = w + 2 * padding
+        padded = np.zeros((c_in, h + 2 * padding + 1, row), np.float32)
+        padded[:, padding:padding + h, padding:padding + w] = x
+        flat = padded.reshape(c_in, -1)
+        size = (span_h + 1) * row
+        out = np.zeros((c_in, size), np.float32)
+        prod = np.empty_like(out)
+        with np.errstate(all="ignore"):
+            for t, tap in enumerate(weight.reshape(c_in, -1).T):
+                at = t // k_w * row + t % k_w
+                np.multiply(flat[:, at:at + size], tap[:, None], prod)
+                np.add(out, prod, out)
+        out = out.reshape(c_in, span_h + 1, row)[:, :, :span_w + 1]
+    else:
+        padded = np.pad(x, [(0, 0)] + [(padding, padding)] * 2) if padding else x
+        # one (groups, taps, pixels) patch tensor, taps row-major over
+        # (channel, kernel row, kernel col); the batched matmul's
+        # ascending-k sweep IS the ascending tap order per output element
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (k_h, k_w), axis=(1, 2))[:, ::stride, ::stride]
+        _, out_h, out_w = windows.shape[:3]
+        taps = c_in_g * k_h * k_w
+        patches = windows.transpose(0, 3, 4, 1, 2).reshape(groups, taps, -1)
+        flat = weight.reshape(groups, c_out // groups, taps)
+        out = batched_matmul(flat, patches).reshape(c_out, out_h, out_w)
     if bias is not None:
         bias = _as_f32(bias, 1, "conv2d bias")
         if bias.shape[0] != c_out:
@@ -371,8 +409,9 @@ def batch_norm(x, p: BatchNormParams) -> np.ndarray:
             f"input has {x.shape[0]} channels, params have {p.channels}"
         )
     scale = p.gamma / np.sqrt(p.running_var + np.float32(p.epsilon))
-    return (x - p.running_mean[:, None, None]) * scale[:, None, None] \
-        + p.beta[:, None, None]
+    out = x - p.running_mean[:, None, None]
+    np.multiply(out, scale[:, None, None], out)
+    return np.add(out, p.beta[:, None, None], out)
 
 
 def relu(x) -> np.ndarray:
@@ -390,7 +429,7 @@ def softmax_last_axis(x) -> np.ndarray:
     x64 = np.asarray(x, np.float64)
     shifted = x64 - np.max(x64, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = np.cumsum(e, axis=-1)[..., -1:]  # ascending-order sum
+    total = functools.reduce(np.add, np.moveaxis(e, -1, 0)[..., None])  # left fold
     return np.asarray(e / total, np.float32)
 
 

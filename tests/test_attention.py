@@ -1,6 +1,7 @@
 """Window attention tests, including the naive full-attention oracle."""
 
 import dataclasses
+import itertools
 import math
 import time
 
@@ -120,6 +121,14 @@ class TestRelativeIndexMap:
                     if off in seen:
                         assert seen[off] == idx[i, j]
                     seen[off] = idx[i, j]
+
+    def test_matches_definition(self):
+        for w in (1, 2, 3, 7):
+            idx = relative_index_map(w)
+            assert idx.dtype == np.arange(1).dtype
+            for i, j in itertools.product(range(w * w), repeat=2):
+                dr, dc = i // w - j // w, i % w - j % w
+                assert idx[i, j] == (dr + w - 1) * (2 * w - 1) + dc + w - 1
 
     def test_center_index_on_diagonal(self):
         w = 3

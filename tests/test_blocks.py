@@ -151,6 +151,47 @@ class TestFusion:
             out = fuse_branches([branches[i] for i in perm], mix, bias)
             assert out.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_sum_matches_sorted_fold(self, count):
+        # every ordered tuple over values with ties, signed zeros,
+        # infinities and sums that overflow, one per token of a d=1 map so
+        # the unit mix passes each total through: the bytes are those of
+        # the sort-then-fold sum, and NaN falls in the same places
+        values = [-0.0, 0.0, 1.5, -1.5, 1.5, 2.0 ** -149, 3e38, -3e38,
+                  np.inf, -np.inf]
+        grid = np.array(list(itertools.product(values, repeat=count)),
+                        np.float32)
+        branches = [grid[:, i].reshape(-1, 1, 1) for i in range(count)]
+        mix = np.ones((1, 1), np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = fuse_branches(branches, mix)
+            addends = np.sort(np.stack(branches), axis=0)
+            total = addends[0]
+            for addend in addends[1:]:
+                total = total + addend
+            want = conv2d(np.transpose(total, (2, 0, 1)),
+                          mix.reshape(1, 1, 1, 1))
+        nan = np.isnan(want)
+        assert nan.any() == (count > 1)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_tied_maps_match_sorted_fold(self, count):
+        # small-integer draws tie often; a dense mix and bias
+        rng = np.random.default_rng(count)
+        branches = [(rng.integers(-2, 3, (5, 6, 4)) * 0.75).astype(np.float32)
+                    for _ in range(count)]
+        mix = rng.standard_normal((4, 4)).astype(np.float32)
+        bias = rng.standard_normal(4).astype(np.float32)
+        addends = np.sort(np.stack(branches), axis=0)
+        total = addends[0]
+        for addend in addends[1:]:
+            total = total + addend
+        want = conv2d(np.transpose(total, (2, 0, 1)), mix.reshape(4, 4, 1, 1),
+                      bias=bias)
+        assert fuse_branches(branches, mix, bias).tobytes() == want.tobytes()
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             fuse_branches([np.zeros((2, 2, 3), np.float32),

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import types
 
 import numpy as np
 import pytest
@@ -86,6 +87,24 @@ def f32_tap_conv(x, weight, stride, padding, groups):
                             acc = np.float32(acc + weight[co, ci, ki, kj] * tap)
                 out[co, oi, oj] = acc
     return out
+
+
+def wide_values(rng, shape, specials=(0.0, -0.0, np.inf, -np.inf)):
+    """float32 values whose exponents spread over 2**-70..2**70, so products
+    can underflow or overflow, with about one in eight replaced by one of
+    ``specials``."""
+    x = np.ldexp(rng.standard_normal(shape), rng.integers(-70, 71, shape))
+    if specials:
+        pick = rng.random(shape) < 0.125
+        x[pick] = rng.choice(specials, int(pick.sum()))
+    return x.astype(np.float32)
+
+
+def assert_same_bits(got, want):
+    """Equal bytes outside NaN, and NaN in the same places."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestMatmul:
@@ -204,6 +223,52 @@ class TestConv2d:
         unbiased = conv2d(x, weight, padding=1, groups=2)
         assert unbiased.tobytes() == \
             f32_tap_conv(x, weight, 1, 1, 2).tobytes()
+
+    def test_depthwise_taps_match_tap_loop_bitwise(self, monkeypatch):
+        # stride-1 depthwise convs run tap by tap; over kernels 1..3 (square
+        # or not), padding 0..2, odd and non-square extents and 1..32
+        # channels, with signed zeros, infinities and exponents wide enough
+        # to overflow, the bytes are the tap loop's on einsum builds and on
+        # the ufunc-loop build, and no call warns
+        import chromapad.tensor_ops as T
+
+        rng = np.random.default_rng(21)
+        cases = itertools.product(range(1, 4), range(1, 4), range(3))
+        for case, (k_h, k_w, padding) in enumerate(cases):
+            c = (1, 32)[case] if case < 2 else int(rng.integers(1, 33))
+            h = int(rng.integers(max(1, k_h - 2 * padding), 10))
+            w = int(rng.integers(max(1, k_w - 2 * padding), 10))
+            x = wide_values(rng, (c, h, w))
+            weight = wide_values(rng, (c, 1, k_h, k_w), specials=(0.0, -0.0))
+            bias = wide_values(rng, (c,), specials=())
+            with np.errstate(all="ignore"):
+                want = f32_tap_conv(x, weight, 1, padding, c)
+                want_bias = want + bias[:, None, None]
+            for einsum in (True, False):
+                with monkeypatch.context() as patch:
+                    if not einsum:
+                        patch.setattr(T, "_einsum_keeps_bits", lambda: False)
+                    got = conv2d(x, weight, padding=padding, groups=c)
+                    biased = conv2d(x, weight, bias, padding=padding, groups=c)
+                assert got.shape == want.shape and got.dtype == np.float32
+                assert_same_bits(got, want)
+                assert_same_bits(biased, want_bias)
+
+    def test_strided_depthwise_matches_tap_loop_bitwise(self, monkeypatch):
+        # a strided depthwise conv stays on the contraction kernel
+        import chromapad.tensor_ops as T
+
+        rng = np.random.default_rng(22)
+        x = wide_values(rng, (5, 7, 9))
+        weight = wide_values(rng, (5, 1, 3, 3), specials=(0.0, -0.0))
+        with np.errstate(all="ignore"):
+            want = f32_tap_conv(x, weight, 2, 1, 5)
+            for einsum in (True, False):
+                with monkeypatch.context() as patch:
+                    if not einsum:
+                        patch.setattr(T, "_einsum_keeps_bits", lambda: False)
+                    got = conv2d(x, weight, stride=2, padding=1, groups=5)
+                assert_same_bits(got, want)
 
     def test_non_integer_output_extent_rejected(self):
         x = np.zeros((1, 4, 4), np.float32)
@@ -324,6 +389,36 @@ class TestSoftmax:
         shifted = x + np.float32(17.0)
         assert np.max(np.abs(softmax_last_axis(x) -
                              softmax_last_axis(shifted))) < 1e-6
+
+    def test_fold_matches_cumsum_bitwise(self, monkeypatch):
+        # the row sums are a left fold, the order np.cumsum adds in, on
+        # float64 rows of widely spread exponents; the fold is checked where
+        # it runs, since the float32 result would rarely show a changed sum
+        import functools
+
+        import chromapad.tensor_ops as T
+
+        folds = []
+
+        def reduce(fn, items):
+            items = list(items)
+            total = functools.reduce(fn, items)
+            folds.append((np.concatenate(items, axis=-1), total))
+            return total
+
+        monkeypatch.setattr(T, "functools", types.SimpleNamespace(
+            reduce=reduce))
+        rng = np.random.default_rng(14)
+        for shape in ((49,), (16, 49, 49), (7, 1)):
+            x = (rng.random(shape) * -700).astype(np.float32)
+            got = softmax_last_axis(x)
+            e, total = folds[-1]
+            assert total.tobytes() == \
+                np.cumsum(e, axis=-1)[..., -1:].tobytes()
+            x64 = x.astype(np.float64)
+            e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+            want = (e / np.cumsum(e, axis=-1)[..., -1:]).astype(np.float32)
+            assert got.tobytes() == want.tobytes()
 
     def test_extreme_values_stay_finite(self):
         out = softmax_last_axis(np.array([1e4, -1e4, 0.0], np.float32))
@@ -1002,12 +1097,18 @@ def test_import_and_eval_never_probe(tmp_path):
 
 
 def test_import_leaves_thread_pool_unloaded():
-    # a split product imports concurrent.futures (and with it logging) on
-    # its first call, so `import chromapad` does not pay for it
-    proc = _run_script("import sys, chromapad, chromapad.cli; "
-                       "print('concurrent.futures' in sys.modules)")
+    # split products run on plain threads, so neither `import chromapad`
+    # nor a split imports concurrent.futures (and with it logging)
+    proc = _run_script(
+        "import sys, numpy as np, chromapad, chromapad.cli\n"
+        "import chromapad.tensor_ops as T\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "T._usable_cpus = lambda: 2\n"
+        "T.batched_matmul(np.ones((1, 301, 5), np.float32),\n"
+        "                 np.ones((1, 5, 500), np.float32))\n"
+        "print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False"]
 
 
 _THREAD_STATE_SCRIPT = """
@@ -1046,3 +1147,40 @@ def test_import_takes_numpy_thread_state():
         pytest.skip("needs glibc's mallinfo2")
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 4096
+
+
+_FAULTS_SCRIPT = """
+import platform
+import resource
+import sys
+
+if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+    raise SystemExit(3)
+
+import numpy as np
+
+from chromapad.colorspace import ColorImage, ColorSpace, to_ppm_bytes
+from chromapad.model import ModelConfig, build_model, forward_ppm
+
+model = build_model(ModelConfig.desk())
+rng = np.random.default_rng(0)
+images = [to_ppm_bytes(ColorImage(112, 112, ColorSpace.RGB, rng.integers(
+    0, 256, (112, 112, 3), dtype=np.uint8))) for _ in range(25)]
+for image in images[:5]:
+    forward_ppm(model, image)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for image in images[5:]:
+    forward_ppm(model, image)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_desk_forward_recycles_heap_pages():
+    # once warm, a desk forward's temporaries reuse heap pages (~1 minor
+    # page fault per forward). Without the block freed at import, glibc
+    # maps and unmaps the larger ones on every call: ~2200 faults each
+    proc = _run_script(_FAULTS_SCRIPT)
+    if proc.returncode == 3:
+        pytest.skip("needs Linux with glibc")
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 10
