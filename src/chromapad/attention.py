@@ -59,7 +59,7 @@ class WindowAttentionConfig:
 PUBLISHED_ATTENTION = WindowAttentionConfig(embed_dim=768, num_heads=24, window=7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionParams:
     """Projection weights and the shared relative position bias table.
 

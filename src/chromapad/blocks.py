@@ -29,7 +29,7 @@ from .tensor_ops import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackboneBlockParams:
     """One depthwise-separable block: depthwise 3x3 then pointwise 1x1."""
 
@@ -48,7 +48,7 @@ class BackboneBlockParams:
         return self.pointwise_weight.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackboneParams:
     """An ordered stack of depthwise-separable blocks."""
 
@@ -144,7 +144,7 @@ def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
                   mix_weight.reshape(d, d, 1, 1), bias=mix_bias)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedResidualParams:
     """Channel-preserving 3x3 convolutions around a pool/upsample detour."""
 
@@ -168,7 +168,7 @@ class NestedResidualParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedResidualTrace:
     """Every intermediate of one nested-residual forward pass."""
 

@@ -22,7 +22,7 @@ class ColorSpace(enum.Enum):
     YCBCR = "YCbCr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorImage:
     """An 8-bit three-channel image tagged with its color space.
 

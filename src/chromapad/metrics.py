@@ -32,7 +32,7 @@ _APCER_CAPS = (0.05, 0.10)  # default operating points of every report
 _SCORE_BOUND = 2.0 ** 1023
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Labeled score lists; both non-empty, every magnitude below 2**1023."""
 

@@ -34,10 +34,11 @@ of at most `_PIECE` bytes: the file bytes do not depend on the layout, and
 no second whole copy is made. `iter_tensor_file`, which streams a file
 through ``chromapad quantize``, keeps the file's order.
 
-A model under dynamic quantization keeps its default-policy tensors as int8
-codes, in the same layout. `forward` hands each stage its parameters
-through `_ready`, which dequantizes those codes to float32 for that stage
-call alone.
+A built model groups its run-ready tensors by plan layer, and `forward`
+walks the plan: each stage call gets its layers' values through `_take`.
+Under dynamic quantization a model keeps its default-policy tensors as int8
+codes, in the same layout, and `_take` dequantizes them to float32 for that
+stage call alone.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .errors import (ChromapadError, ConfigError, PpmParseError,
                      QuantizationError, ShapeError, SpaceError,
                      WeightFileError)
 from .metrics import _APCER_CAPS, ScoreSet, _operating_point, _sweep
-from .plan import layer_plan
+from .plan import LayerPlan, layer_plan
 from .quant import (
     DEFAULT_POLICY,
     QuantParams,
@@ -323,19 +324,22 @@ def tensor_layout(cfg: ModelConfig):
     return [spec for layer in layer_plan(cfg).layers for spec in layer.specs]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Configuration plus named weights, checked against the layer plan and
     made run-ready once, when built: under dynamic quantization float
     default-policy tensors quantize. Quantized default-policy tensors stay
     int8 codes, which `forward` dequantizes per stage call; any other
     quantized tensor dequantizes here, and float ones are shared. The
-    mapping and every array are then read-only, so `forward` runs what
+    run-ready values are then grouped by plan layer, each norm layer's four
+    tensors as one `BatchNormParams`, and `forward` walks the plan over
+    them. The mapping and every array are read-only, so `forward` runs what
     `save_weights` saves."""
 
     config: ModelConfig
     weights: dict = field(repr=False)  # read-only after construction
-    _stages: tuple = field(init=False, repr=False, compare=False)
+    _plan: LayerPlan = field(init=False, repr=False)
+    _layers: dict = field(init=False, repr=False)  # layer name -> values
 
     def __post_init__(self):
         plan = layer_plan(self.config)
@@ -381,63 +385,29 @@ class Model:
             if not isinstance(value, QuantizedTensor):
                 value.flags.writeable = False
             ready[name] = value
-        object.__setattr__(self, "weights", MappingProxyType(weights))
-        object.__setattr__(self, "_stages",
-                           _stage_params(self.config, plan, ready))
-
-
-def _stage_params(cfg, plan, arrays):
-    """(branches, fusion, residual, classifier) run-ready parameters; each
-    is built positionally from its layers' tensors in spec order."""
-    def args(*layers):
-        out = []
-        for layer in layers:
-            a = [arrays[spec.name] for spec in layer.specs]
+        layers = {}
+        for layer in plan.layers:
+            values = tuple(ready[spec.name] for spec in layer.specs)
             if layer.norm:
                 # shapes already match the plan, so only a negative
                 # running_var (the last spec) can fail the check
                 try:
-                    a = [a[0], BatchNormParams(*a[1:])]
+                    values = (values[0], BatchNormParams(*values[1:]))
                 except ConfigError as exc:
                     raise WeightFileError(
                         f"tensor {layer.specs[-1].name!r}: {exc}") from None
-            out += a
-        return out
-
-    branches = tuple((
-        b.space,
-        BackboneParams(tuple(BackboneBlockParams(*args(*pair), blk.stride)
-                             for pair, blk in zip(b.backbone, cfg.backbone))),
-        args(b.bottleneck),
-        AttentionParams(*args(*b.attention)) if b.attention else None,
-    ) for b in plan.branches)
-    residual = NestedResidualParams(*args(*plan.residual), cfg.pool_factor) \
-        if plan.residual else None
-    return branches, args(plan.fusion), residual, args(plan.classifier)
+            layers[layer.name] = values
+        object.__setattr__(self, "weights", MappingProxyType(weights))
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_layers", layers)
 
 
-def _ready(params):
-    """``params`` as the kernels take them: each `QuantizedTensor` in it, at
-    any depth of lists, tuples and dataclasses, dequantized to a new float32
-    array that lives only as long as the stage call it is passed to. What
-    holds no quantized tensor is returned as it is."""
-    if isinstance(params, (np.ndarray, BatchNormParams)):  # float32 always
-        return params
-    if isinstance(params, QuantizedTensor):
-        return dequantize_f32(params)
-    if isinstance(params, (list, tuple)):
-        ready = [_ready(p) for p in params]
-        if all(r is p for r, p in zip(ready, params)):
-            return params
-        return type(params)(ready)
-    if is_dataclass(params):
-        changed = {}
-        for f in fields(params):
-            value = getattr(params, f.name)
-            if (new := _ready(value)) is not value:
-                changed[f.name] = new
-        return replace(params, **changed) if changed else params
-    return params
+def _take(model, *layers):
+    """The run-ready values of ``layers``, in order, each `QuantizedTensor`
+    dequantized to a new float32 array that lives only as long as the stage
+    call it is passed to."""
+    return [dequantize_f32(v) if isinstance(v, QuantizedTensor) else v
+            for layer in layers for v in model._layers[layer.name]]
 
 
 def _physical_memory():
@@ -488,32 +458,37 @@ def forward(model: Model, img: ColorImage, want_debug: bool = False):
             f"image is {img.height}x{img.width}, config wants "
             f"{cfg.input_size}x{cfg.input_size}"
         )
-    branches, fusion, residual, classifier = model._stages
+    plan = model._plan
+    take = partial(_take, model)
     debug = {"branches": {}} if want_debug else None
 
     branch_tokens = []
-    for space, backbone, bottleneck, attention in branches:
-        x = image_to_tensor(convert(img, space))
-        feats = backbone_forward(x, _ready(backbone))
-        tokens = bottleneck_project(feats, *_ready(bottleneck))
-        if attention is not None:
-            tokens = multi_head_window_attention(tokens, _ready(attention),
-                                                 cfg.attention_config)
+    for b in plan.branches:
+        x = image_to_tensor(convert(img, b.space))
+        feats = backbone_forward(x, BackboneParams(tuple(
+            BackboneBlockParams(*take(dw, pw), blk.stride)
+            for (dw, pw), blk in zip(b.backbone, cfg.backbone))))
+        tokens = bottleneck_project(feats, *take(b.bottleneck))
+        if b.attention:
+            tokens = multi_head_window_attention(
+                tokens, AttentionParams(*take(*b.attention)),
+                cfg.attention_config)
         branch_tokens.append(tokens)
         if want_debug:
-            debug["branches"][space.value] = {
+            debug["branches"][b.space.value] = {
                 "features": feats, "tokens": tokens,
             }
 
-    fused = fuse_branches(branch_tokens, *_ready(fusion))
+    fused = fuse_branches(branch_tokens, *take(plan.fusion))
     if want_debug:
         debug["fused"] = fused
 
-    if residual is not None:
-        fused, trace = nested_residual_forward(fused, _ready(residual))
+    if plan.residual:
+        fused, trace = nested_residual_forward(fused, NestedResidualParams(
+            *take(*plan.residual), cfg.pool_factor))
         if want_debug:
             debug["residual_trace"] = trace
-    probs = classifier_head(fused, *_ready(classifier))
+    probs = classifier_head(fused, *take(plan.classifier))
     if want_debug:
         debug["probabilities"] = probs
     return float(probs[0]), debug

@@ -79,7 +79,7 @@ class QuantParams:
             raise QuantizationError(f"scale must be positive, got {self.scale}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedTensor:
     """Signed 8-bit payload plus the parameters that produced it."""
 

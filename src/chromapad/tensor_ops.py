@@ -362,7 +362,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchNormParams:
     """Per-channel inference-mode normalization parameters."""
 

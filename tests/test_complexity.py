@@ -1,6 +1,8 @@
-"""MAC counter tests against literal loop-nest enumeration."""
+"""MAC counter tests against literal loop-nest enumeration and against the
+products a forward pass runs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +14,13 @@ from chromapad.complexity import (
     macs_window_attention,
     model_complexity,
 )
+from chromapad import attention, blocks
+from chromapad import model as M
 from chromapad.attention import WindowAttentionConfig
+from chromapad.colorspace import ColorImage, ColorSpace
 from chromapad.errors import ConfigError
-from chromapad.model import ModelConfig
+from chromapad.model import (ModelConfig, build_model, forward,
+                             standard_ablation_grid)
 
 
 def count_conv_multiplies(c_in, c_out, k_h, k_w, h_out, w_out, groups):
@@ -215,3 +221,57 @@ class TestModelComplexity:
         assert parsed["gmacs"] == f"{report.total_macs / 1e9:.3f}"
         assert all(set(l) == {"name", "macs", "params"}
                    for l in parsed["layers"])
+
+
+# the stages `forward` calls; a backbone or residual stage runs one plan row
+# per convolution, any other stage one row in all
+_STAGES = ("backbone_forward", "bottleneck_project",
+           "multi_head_window_attention", "fuse_branches",
+           "nested_residual_forward", "classifier_head")
+_ROW_PER_CONV = {"backbone_forward", "nested_residual_forward"}
+
+_EXECUTED_CONFIGS = (*standard_ablation_grid(ModelConfig.desk()),
+                     ModelConfig.paper(dq_enabled=True))
+
+
+@pytest.mark.parametrize(
+    "cfg", _EXECUTED_CONFIGS,
+    ids=[f"desk-grid-{i}" for i in range(7)] + ["paper-dq"])
+def test_executed_macs_match_every_plan_row(monkeypatch, cfg):
+    rows, per_conv = [], False
+
+    def stage(name, fn):
+        def wrapped(*args, **kwargs):
+            nonlocal per_conv
+            per_conv = name in _ROW_PER_CONV
+            if not per_conv:
+                rows.append(0)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def kernel(module, name):
+        fn = getattr(module, name)
+
+        def counted(a, b, *args, **kwargs):
+            out = fn(a, b, *args, **kwargs)
+            # a convolution's weight b is (C_out, C_in/groups, k_h, k_w); a
+            # product's operand a ends in its contracted extent k
+            k = math.prod(b.shape[1:]) if name == "conv2d" else a.shape[-1]
+            if per_conv:
+                rows.append(out.size * k)
+            else:
+                rows[-1] += out.size * k
+            return out
+        monkeypatch.setattr(module, name, counted)
+
+    for name in _STAGES:
+        monkeypatch.setattr(M, name, stage(name, getattr(M, name)))
+    kernel(blocks, "conv2d")
+    kernel(blocks, "matmul")
+    kernel(attention, "matmul")
+    kernel(attention, "batched_matmul")
+    pixels = np.random.default_rng(0).integers(
+        0, 256, (cfg.input_size, cfg.input_size, 3), dtype=np.uint8)
+    forward(build_model(cfg), ColorImage(cfg.input_size, cfg.input_size,
+                                         ColorSpace.RGB, pixels))
+    assert rows == [layer.macs for layer in model_complexity(cfg).layers]

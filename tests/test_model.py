@@ -1,12 +1,14 @@
 """End-to-end model tests: build, forward, serialization, ablation."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import struct
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from chromapad.blocks import (
     BackboneBlockParams,
     BackboneParams,
     NestedResidualParams,
+    NestedResidualTrace,
     backbone_forward,
     bottleneck_project,
     classifier_head,
@@ -312,6 +315,50 @@ class TestForward:
             forward(m, random_image(16, seed=seed))
             assert sorted(map(id, calls)) == sorted(map(id, quantized))
             calls.clear()
+
+    def test_dequantized_arrays_die_with_their_stage_call(self, monkeypatch):
+        import chromapad.model as M
+
+        results, live_at_entry = [], []
+
+        def tracked(qt):
+            out = dequantize_f32(qt)
+            results.append(weakref.ref(out))
+            return out
+
+        def held(value):
+            """Ids of the arrays in ``value``, at any depth."""
+            if isinstance(value, np.ndarray):
+                return {id(value)}
+            if dataclasses.is_dataclass(value):
+                value = [getattr(value, f.name)
+                         for f in dataclasses.fields(value)]
+            if isinstance(value, (list, tuple)):
+                return set().union(*map(held, value))
+            return set()
+
+        def stage(fn):
+            def wrapped(*args, **kwargs):
+                live = {id(a) for a in (r() for r in results)
+                        if a is not None}
+                assert live <= held([args, list(kwargs.values())])
+                live_at_entry.append(len(live))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(M, "dequantize_f32", tracked)
+        for name in ("backbone_forward", "bottleneck_project",
+                     "multi_head_window_attention", "fuse_branches",
+                     "nested_residual_forward", "classifier_head"):
+            monkeypatch.setattr(M, name, stage(getattr(M, name)))
+        m = build_model(ModelConfig.desk(dq_enabled=True))
+        forward(m, random_image(112))
+        # per branch: three pointwise weights, the bottleneck weight, the
+        # QKV and output weights; then the fusion, no residual tensor, and
+        # the classifier
+        assert live_at_entry == [3, 1, 2] * 3 + [1, 0, 1]
+        assert len(results) == 20
+        assert all(r() is None for r in results)
 
     def test_score_in_unit_interval_and_deterministic(self):
         m = build_model(small_config())
@@ -898,3 +945,42 @@ class TestScoresFromImages:
         s2 = scores_from_images(small_config(), paths[:1], paths[1:])
         assert np.array_equal(s1.bonafide, s2.bonafide)
         assert np.array_equal(s1.attack, s2.attack)
+
+
+def _bn():
+    return BatchNormParams.identity(2)
+
+
+def _block():
+    return BackboneBlockParams(np.ones((2, 1, 3, 3), np.float32), _bn(),
+                               np.ones((2, 2, 1, 1), np.float32), _bn())
+
+
+_ARRAY_HOLDERS = {
+    "Model": lambda: build_model(small_config()),
+    "AttentionParams": lambda: AttentionParams(*(
+        np.zeros(shape, np.float32)
+        for shape in ((6, 2), (6,), (2, 2), (2,), (1, 9)))),
+    "BackboneBlockParams": _block,
+    "BackboneParams": lambda: BackboneParams((_block(),)),
+    "NestedResidualParams": lambda: NestedResidualParams(
+        np.ones((2, 2, 3, 3), np.float32), _bn(),
+        np.ones((2, 2, 3, 3), np.float32), _bn()),
+    "NestedResidualTrace": lambda: NestedResidualTrace(
+        *(np.zeros(2, np.float32) for _ in range(5))),
+    "BatchNormParams": _bn,
+    "QuantizedTensor": lambda: QuantizedTensor(
+        np.zeros(3, np.int8), compute_quant_params(np.arange(3.0))),
+    "ColorImage": lambda: random_image(4),
+    "ScoreSet": lambda: ScoreSet([0.9, 0.8], [0.1]),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_HOLDERS.values(),
+                         ids=_ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    # equal contents, yet each is only equal to itself and hashes
+    a, b = make(), make()
+    assert (a == b) is False
+    assert a == a
+    assert len({a, b}) == 2
