@@ -37,7 +37,6 @@ from .colorspace import (
 )
 from .complexity import (
     ComplexityReport,
-    LayerCost,
     format_gmacs,
     macs_conv2d,
     macs_linear,

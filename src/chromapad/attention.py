@@ -3,9 +3,9 @@
 Each window of ``window x window`` tokens is attended independently with the
 same parameters. Per head, the attention logits get an additive relative
 position bias that depends only on the (row, col) offset between tokens; the
-per-head bias matrices expand from a shared table of (2w-1)^2 entries, and a
-raw per-head N x N matrix can be supplied instead. Attention is applied bare:
-no residual wrapper, no layer normalization, no shifted windows.
+per-head bias matrices expand from a shared table of (2w-1)^2 entries.
+Attention is applied bare: no residual wrapper, no layer normalization, no
+shifted windows.
 """
 
 from __future__ import annotations
@@ -118,17 +118,6 @@ def expand_relative_bias(table, window: int) -> np.ndarray:
     return table[:, idx]
 
 
-def raw_bias_matrices(raw, cfg: WindowAttentionConfig) -> np.ndarray:
-    """Validate a directly supplied (heads, N, N) bias stack."""
-    raw = np.asarray(raw, np.float32)
-    n = cfg.tokens_per_window
-    if raw.shape != (cfg.num_heads, n, n):
-        raise ShapeError(
-            f"raw bias shape {raw.shape}, expected ({cfg.num_heads}, {n}, {n})"
-        )
-    return raw
-
-
 def window_partition(x, window: int) -> np.ndarray:
     """Split (H, W, d) into (num_windows, N, d) non-overlapping windows.
 
@@ -213,14 +202,12 @@ def window_attention_head(q, k, v, bias) -> np.ndarray:
 
 
 def multi_head_window_attention(x, params: AttentionParams,
-                                cfg: WindowAttentionConfig,
-                                bias=None) -> np.ndarray:
+                                cfg: WindowAttentionConfig) -> np.ndarray:
     """Windowed multi-head attention over a (H, W, d) feature map.
 
     Every window runs the same parameters: QKV projection, per-head biased
     attention, head concatenation, and the output mix, then windows fold
-    back into the map. ``bias`` may supply raw per-head (N, N) matrices;
-    by default the shared table expands through the relative index map.
+    back into the map.
     """
     x = np.asarray(x, np.float32)
     if x.ndim != 3 or x.shape[2] != cfg.embed_dim:
@@ -233,8 +220,7 @@ def multi_head_window_attention(x, params: AttentionParams,
     # the projection checks every parameter, the bias table included,
     # before the table expands
     q, k, v = qkv_project(windows.reshape(n_windows * n_tokens, d), params, cfg)
-    bias = (expand_relative_bias(params.rel_bias_table, cfg.window)
-            if bias is None else raw_bias_matrices(bias, cfg))
+    bias = expand_relative_bias(params.rel_bias_table, cfg.window)
     per_head = (cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
     # one call for every (head, window); each head's bias spans its windows
     attended = window_attention_head(q.reshape(per_head), k.reshape(per_head),

@@ -28,20 +28,8 @@ from .quant import DEFAULT_POLICY, PARAM_OVERHEAD_BYTES, _as_predicate
 
 
 @dataclass(frozen=True)
-class LayerCost:
-    """Exact multiply-accumulate and parameter counts for one layer."""
-
-    name: str
-    macs: int
-    params: int
-
-    def to_json_dict(self):
-        return {"name": self.name, "macs": self.macs, "params": self.params}
-
-
-@dataclass(frozen=True)
 class ComplexityReport:
-    layers: tuple
+    layers: tuple  # the `plan.Layer` rows, in plan order
     param_bytes: int
     notes: tuple
 
@@ -59,7 +47,8 @@ class ComplexityReport:
 
     def to_json_dict(self):
         return {
-            "layers": [layer.to_json_dict() for layer in self.layers],
+            "layers": [{"name": layer.name, "macs": layer.macs,
+                        "params": layer.params} for layer in self.layers],
             "total_macs": self.total_macs,
             "total_params": self.total_params,
             "gmacs": self.gmacs,
@@ -75,7 +64,7 @@ def format_gmacs(total_macs: int) -> str:
 
 def model_complexity(cfg: ModelConfig) -> ComplexityReport:
     """The plan's layers as rows, plus parameter bytes."""
-    rows = tuple(layer_plan(cfg).layers)
+    layers = tuple(layer_plan(cfg).layers)
     notes = [
         "one MAC is one multiply plus one accumulate; bias additions, the "
         "branch sum, pooling, softmax, normalization, and activations are "
@@ -83,19 +72,17 @@ def model_complexity(cfg: ModelConfig) -> ComplexityReport:
         "totals describe this package's simplified depthwise-separable "
         "backbone, not any externally published variant of the architecture",
     ]
-    param_bytes = 4 * sum(layer.params for layer in rows)
+    param_bytes = 4 * sum(layer.params for layer in layers)
     if cfg.dq_enabled:
         quantized = _as_predicate(DEFAULT_POLICY)
         param_bytes -= sum(3 * math.prod(s.shape) - PARAM_OVERHEAD_BYTES
-                           for layer in rows for s in layer.specs
+                           for layer in layers for s in layer.specs
                            if quantized(s.name))
         notes.append(
-            "dynamic quantization shrinks parameter bytes (4 -> 1 per "
-            "quantized weight element plus a 16-byte parameter block per "
-            "tensor) while MAC counts are unchanged: weights reconstruct "
-            "to float32 before any kernel runs"
+            f"dynamic quantization shrinks parameter bytes (4 -> 1 per "
+            f"quantized weight element plus a {PARAM_OVERHEAD_BYTES}-byte "
+            f"parameter block per tensor) while MAC counts are unchanged: "
+            f"weights reconstruct to float32 before any kernel runs"
         )
-    layers = tuple(LayerCost(layer.name, layer.macs, layer.params)
-                   for layer in rows)
     return ComplexityReport(layers=layers, param_bytes=param_bytes,
                             notes=tuple(notes))

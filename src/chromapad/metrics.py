@@ -6,7 +6,8 @@ the fraction of attack scores accepted; BPCER is the fraction of bona fide
 scores rejected. The DET curve sweeps every unique score plus one sentinel
 below the minimum and one above the maximum. EER on discrete data is the
 midpoint of the two rates at the threshold minimizing their gap. A score's
-magnitude stays below 2**1023, so every sentinel is finite and exact.
+magnitude stays below 2**1023, so every sentinel is finite, and so is its
+ten-digit rendering in a DET CSV.
 
 Every operating point is read by index from one array sweep: thresholds
 ascend, APCER never rises and BPCER never falls along it, so the EER is the
@@ -71,8 +72,9 @@ def _sweep(s: ScoreSet):
     """(taus, apcer, bpcer) float64 arrays of the DET sweep; see `det_curve`."""
     uniq = np.unique(np.concatenate([s.bonafide, s.attack]))
     lo, hi = uniq[0], uniq[-1]
-    taus = np.concatenate([[lo - 1.0 if lo - 1.0 < lo else lo - abs(lo)], uniq,
-                           [hi + 1.0 if hi + 1.0 > hi else hi + abs(hi)]])
+    taus = np.concatenate([[lo - 1.0 if lo - 1.0 < lo else lo - abs(lo) / 2],
+                           uniq,
+                           [hi + 1.0 if hi + 1.0 > hi else hi + abs(hi) / 2]])
     below_attack = np.searchsorted(np.sort(s.attack), taus, side="left")
     below_bona = np.searchsorted(np.sort(s.bonafide), taus, side="left")
     apcer = (s.attack.size - below_attack) / s.attack.size
@@ -85,7 +87,8 @@ def det_curve(s: ScoreSet):
     Thresholds are the sorted unique scores of both lists plus a sentinel
     below the minimum and one above the maximum, so the curve always spans
     from (apcer, bpcer) = (1, 0) to (0, 1). The sentinels sit 1.0 beyond
-    the extremes, or |extreme| beyond where a step of 1.0 would round away.
+    the extremes, or |extreme| / 2 beyond where a step of 1.0 would round
+    away (a whole |extreme| may print as 1.797693135e+308, an infinity).
     APCER is non-increasing and BPCER non-decreasing along the sweep.
     """
     return [DetPoint(threshold=t, apcer=a, bpcer=b)

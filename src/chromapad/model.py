@@ -30,9 +30,9 @@ its (inputs, outputs) transpose contiguous, the layout its product reads,
 while `Model.weights` shows the plan's shapes. `build_model` draws straight
 into that layout, `read_tensor_file` reads into it, and the writer writes
 any layout in the file's row-major order, each relaying a tensor in pieces
-of at most `_PIECE` bytes: the file bytes do not depend on the layout, and
-no second whole copy is made. `iter_tensor_file`, which streams a file
-through ``chromapad quantize``, keeps the file's order.
+of at most `tensor_ops.PIECE_BYTES`: the file bytes do not depend on the
+layout, and no second whole copy is made. `iter_tensor_file`, which streams
+a file through ``chromapad quantize``, keeps the file's order.
 
 A built model groups its run-ready tensors by plan layer, and `forward`
 walks the plan: each stage call gets its layers' values through `_take`.
@@ -51,8 +51,8 @@ import os
 import signal
 import stat
 import struct
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass, replace)
+from dataclasses import (MISSING, asdict, astuple, dataclass, field,
+                         fields, is_dataclass, replace)
 from functools import partial
 from types import MappingProxyType
 
@@ -78,10 +78,11 @@ from .colorspace import ColorImage, ColorSpace, convert, image_to_tensor, load_p
 from .errors import (ChromapadError, ConfigError, PpmParseError,
                      QuantizationError, ShapeError, SpaceError,
                      WeightFileError)
-from .metrics import _APCER_CAPS, ScoreSet, _operating_point, _sweep
+from .metrics import _APCER_CAPS, ScoreSet, evaluate_scores
 from .plan import LayerPlan, layer_plan
 from .quant import (
     DEFAULT_POLICY,
+    QUANT_TRAILER,
     QuantParams,
     QuantizedTensor,
     _as_predicate,
@@ -89,12 +90,11 @@ from .quant import (
     dequantized_range,
     quantize_model,
 )
-from .tensor_ops import BatchNormParams, c_order_pieces, input_major
+from .tensor_ops import (MAX_RANK, PIECE_BYTES, BatchNormParams,
+                         c_order_pieces, input_major)
 
 WEIGHT_MAGIC = b"CFPA"
 WEIGHT_VERSION = 1
-_DRAW_CHUNK = 1 << 16  # float64 values per uniform draw in build_model
-_PIECE = 1 << 19  # bytes per piece relaid between file order and memory
 _TILE = 64  # elements per row of one tile of a strided write
 INPUT_NORMALIZATION = "divide_by_255"  # plain [0, 1] scaling, no channel stats
 
@@ -423,8 +423,8 @@ def build_model(cfg: ModelConfig) -> Model:
 
     A config whose float32 weights would not fit in the host's physical
     memory raises `ConfigError` before anything is allocated. A uniform
-    tensor is drawn `_DRAW_CHUNK` values at a time, in the plan shape's C
-    order, into its input-major float32 array; a PCG64 stream drawn in
+    tensor is drawn `PIECE_BYTES` of float64 at a time, in the plan shape's
+    C order, into its input-major float32 array; a PCG64 stream drawn in
     pieces equals one draw."""
     specs = tensor_layout(cfg)
     need = 4 * sum(math.prod(spec.shape) for spec in specs)
@@ -439,7 +439,7 @@ def build_model(cfg: ModelConfig) -> Model:
         weights[spec.name] = arr = input_major(spec.shape)
         if spec.init == "uniform":
             bound = 1.0 / math.sqrt(math.prod(spec.shape[1:]))
-            for index in c_order_pieces(arr.shape, _DRAW_CHUNK):
+            for index in c_order_pieces(arr.shape, PIECE_BYTES // 8):
                 piece = arr[index]
                 piece[...] = rng.uniform(-bound, bound, piece.size).reshape(
                     piece.shape)
@@ -640,6 +640,11 @@ def _create_beside(path):
             continue
 
 
+def _check_rank(name, rank):
+    if not 1 <= rank <= MAX_RANK:
+        raise WeightFileError(f"tensor {name!r} has invalid rank {rank}")
+
+
 def _write_tensor(fh, name, value):
     encoded = name.encode("utf-8")
     trailer = b""
@@ -651,10 +656,10 @@ def _write_tensor(fh, name, value):
                 f"fit in int32"
             )
         code, payload = _DTYPE_QINT8, value.qdata
-        trailer = struct.pack("<fffi", p.f_min, p.f_max, p.scale,
-                              p.zero_point)
+        trailer = QUANT_TRAILER.pack(*astuple(p))
     else:
         code, payload = _DTYPE_F32, np.asarray(value, "<f4")
+    _check_rank(name, payload.ndim)  # as the reader checks it
     fh.write(struct.pack(f"<I{len(encoded)}sBB{payload.ndim}Q",
                          len(encoded), encoded, code, payload.ndim,
                          *payload.shape))
@@ -664,13 +669,13 @@ def _write_tensor(fh, name, value):
 
 def _write_payload(fh, payload):
     """Write ``payload`` in row-major order: from its own buffer when that
-    is C-contiguous, otherwise through a buffer of `_PIECE` bytes, filled a
+    is C-contiguous, otherwise through a buffer of `PIECE_BYTES`, filled a
     tile of at most `_TILE` elements per row at a time so that the strided
     reads stay in cache."""
     if payload.flags.c_contiguous:
         fh.write(payload)
         return
-    buf = np.empty(_PIECE // payload.itemsize, payload.dtype)
+    buf = np.empty(PIECE_BYTES // payload.itemsize, payload.dtype)
     for index in c_order_pieces(payload.shape, buf.size):
         piece = np.atleast_2d(payload[index])
         out = buf[:piece.size].reshape(piece.shape)
@@ -732,13 +737,13 @@ class _Reader:
     def read_array(self, dtype, shape, name, offset, layout):
         """The payload of tensor ``name`` at ``offset`` in a new array made
         by ``layout``: read straight into it when it is row-major,
-        otherwise through a buffer of `_PIECE` bytes."""
+        otherwise through a buffer of `PIECE_BYTES`."""
         self.fh.seek(offset)
         self.pos = offset
         arr = _new_array(dtype, shape, name, layout)
         if arr.flags.c_contiguous:
             return self._read_into(arr, name)
-        buf = np.empty(_PIECE // arr.itemsize, arr.dtype)
+        buf = np.empty(PIECE_BYTES // arr.itemsize, arr.dtype)
         for index in c_order_pieces(shape, buf.size):
             piece = arr[index]
             piece[...] = self._read_into(
@@ -820,18 +825,16 @@ def _header_pass(r):
                 f"{r.pos - name_len + exc.start}"
             ) from None
         dtype, rank = r.unpack("<BB", f"descriptor of {name!r}")
-        if not 1 <= rank <= 4:
-            raise WeightFileError(f"tensor {name!r} has invalid rank {rank}")
+        _check_rank(name, rank)
         shape = r.unpack(f"<{rank}Q", f"extents of {name!r}")
         if dtype == _DTYPE_F32:
             entries[name] = (shape, r.skip_array("<f4", shape, name), None)
         elif dtype == _DTYPE_QINT8:
             offset = r.skip_array(np.int8, shape, name)
-            f_min, f_max, scale, zero = r.unpack(
-                "<fffi", f"quant params of {name!r}")
+            trailer = r.unpack(QUANT_TRAILER.format,
+                               f"quant params of {name!r}")
             try:
-                params = QuantParams(f_min=float(f_min), f_max=float(f_max),
-                                     scale=float(scale), zero_point=int(zero))
+                params = QuantParams(*trailer)
             except QuantizationError as exc:
                 raise WeightFileError(f"tensor {name!r}: {exc}") from None
             entries[name] = (shape, offset, params)
@@ -868,13 +871,9 @@ def ablate(entries):
     entries = list(entries)
     if not entries:
         raise ConfigError("ablation grid is empty")
-    rows = []
-    for cfg, scores in entries:
-        sweep = _sweep(scores)
-        bpcer = {alpha: _operating_point(sweep, alpha)[0]
-                 for alpha in _APCER_CAPS}
-        rows.append(AblationRow(config=cfg, bpcer=bpcer))
-    return rows
+    return [AblationRow(config=cfg, bpcer=dict(zip(
+        _APCER_CAPS, evaluate_scores(scores)["bpcer_at"].values())))
+        for cfg, scores in entries]
 
 
 def ablation_csv(rows) -> str:
@@ -892,19 +891,15 @@ def ablation_csv(rows) -> str:
             raise ConfigError(f"APCER caps {columns[name]} and {alpha} both "
                               f"render as column {name}")
         columns[name] = alpha
-    header = ["rgb", "hsv", "ycbcr", "bottleneck_attention", "residual_block",
-              "dq", *columns]
+    header = [*(space.value.lower() for space in ColorSpace),
+              "bottleneck_attention", "residual_block", "dq", *columns]
     lines = [",".join(header)]
     for row in rows:
         cfg = row.config
-        cells = [
-            CHECK_MARK if ColorSpace.RGB in cfg.branches else NO_MARK,
-            CHECK_MARK if ColorSpace.HSV in cfg.branches else NO_MARK,
-            CHECK_MARK if ColorSpace.YCBCR in cfg.branches else NO_MARK,
-            CHECK_MARK if cfg.attention_enabled else NO_MARK,
-            CHECK_MARK if cfg.residual_enabled else NO_MARK,
-            CHECK_MARK if cfg.dq_enabled else NO_MARK,
-        ]
+        toggles = [*(space in cfg.branches for space in ColorSpace),
+                   cfg.attention_enabled, cfg.residual_enabled,
+                   cfg.dq_enabled]
+        cells = [CHECK_MARK if on else NO_MARK for on in toggles]
         cells += [f"{100.0 * row.bpcer[alpha]:.2f}" for alpha in alphas]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

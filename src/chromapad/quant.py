@@ -31,19 +31,19 @@ at a time.
 from __future__ import annotations
 
 import fnmatch
+import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import QuantizationError
-from .tensor_ops import c_order_pieces
+from .tensor_ops import PIECE_BYTES, c_order_pieces
 
-# elements per float64 piece in `quantize` and `dequantize_f32`
-_CHUNK = 1 << 16
-
-# serialized per-tensor overhead: f_min, f_max, S as float32 plus Z as int32
-PARAM_OVERHEAD_BYTES = 16
+# a quantized tensor's file entry ends with its `QuantParams` fields in
+# order: f_min, f_max and S as little-endian float32, Z as little-endian int32
+QUANT_TRAILER = struct.Struct("<fffi")
+PARAM_OVERHEAD_BYTES = QUANT_TRAILER.size
 
 # weight tensors quantized when no explicit policy is given: affine and
 # attention projections plus 1x1 (pointwise) convolution weight matrices
@@ -81,13 +81,20 @@ class QuantParams:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedTensor:
-    """Signed 8-bit payload plus the parameters that produced it."""
+    """Signed 8-bit payload plus the parameters that produced it; a code
+    that int8 cannot hold raises `QuantizationError`."""
 
     qdata: np.ndarray
     params: QuantParams
 
     def __post_init__(self):
-        q = np.asarray(self.qdata, np.int8)
+        q = np.asarray(self.qdata)
+        if q.dtype != np.int8:
+            with np.errstate(invalid="ignore"):
+                q, given = q.astype(np.int8), q
+            if not np.array_equal(q, given):
+                raise QuantizationError(
+                    "quantized codes must be integers in [-128, 127]")
         object.__setattr__(self, "qdata", q)
 
     @property
@@ -113,13 +120,13 @@ def compute_quant_params(f) -> QuantParams:
 
 
 def _pieces(src, dst):
-    """(work, destination) pairs over successive pieces of at most `_CHUNK`
-    elements of ``src`` and of ``dst``, a new array of its shape made by
-    `np.empty_like`, walked in the memory order of ``dst``. ``work`` holds
-    the source piece in float64, in one buffer that every piece reuses."""
+    """(work, destination) pairs over successive pieces of ``src`` and of
+    ``dst``, a new array of its shape made by `np.empty_like`, walked in the
+    memory order of ``dst``. ``work`` holds the source piece in float64, in
+    one buffer of at most `PIECE_BYTES` that every piece reuses."""
     order = np.argsort(dst.strides)[::-1]
     src, dst = src.transpose(order), dst.transpose(order)
-    buf = np.empty(min(_CHUNK, dst.size), np.float64)
+    buf = np.empty(min(PIECE_BYTES // 8, dst.size), np.float64)
     for index in c_order_pieces(dst.shape, buf.size):
         piece = dst[index]
         work = buf[:piece.size].reshape(piece.shape)
@@ -200,21 +207,8 @@ class TensorQuantReport:
     mean_abs_error: float = None
 
     def to_json_dict(self):
-        d = {
-            "name": self.name,
-            "quantized": self.quantized,
-            "elements": self.elements,
-            "bytes_before": self.bytes_before,
-            "bytes_after": self.bytes_after,
-        }
-        if self.quantized:
-            d.update(
-                scale=self.scale,
-                zero_point=self.zero_point,
-                max_abs_error=self.max_abs_error,
-                mean_abs_error=self.mean_abs_error,
-            )
-        return d
+        """The fields in declaration order, less those left at None."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)

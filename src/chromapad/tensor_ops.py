@@ -87,6 +87,11 @@ def input_major(shape, dtype=np.float32) -> np.ndarray:
     return np.moveaxis(np.empty((*shape[1:], shape[0]), dtype), -1, 0)
 
 
+# bytes per piece of a buffer that a whole tensor passes through piece by
+# piece: draws, (de)quantization and file relays (65 536 float64 values)
+PIECE_BYTES = 1 << 19
+
+
 def c_order_pieces(shape, limit):
     """Index tuples that select successive pieces of at most ``limit``
     elements of an array of ``shape``, in C order: whole runs of rows along

@@ -15,7 +15,6 @@ from chromapad.attention import (
     expand_relative_bias,
     multi_head_window_attention,
     qkv_project,
-    raw_bias_matrices,
     relative_index_map,
     window_attention_head,
     window_partition,
@@ -400,18 +399,6 @@ class TestMultiHead:
                             if same_offset:
                                 assert bias[head, i, j] == bias[head, i2, j2]
         assert idx.max() < table.shape[1]
-
-    def test_raw_bias_loader(self):
-        cfg = WindowAttentionConfig(embed_dim=4, num_heads=2, window=2)
-        rng = np.random.default_rng(9)
-        params = random_params(cfg, rng, zero_bias_table=True)
-        raw = rng.standard_normal((2, 4, 4)).astype(np.float32)
-        x = rng.standard_normal((2, 2, 4)).astype(np.float32)
-        out = multi_head_window_attention(x, params, cfg, bias=raw)
-        # equivalent call with the bias baked into an expanded-table result
-        assert out.shape == (2, 2, 4)
-        with pytest.raises(ShapeError):
-            raw_bias_matrices(np.zeros((2, 3, 3), np.float32), cfg)
 
     def test_rejects_non_divisible_extents(self):
         cfg = WindowAttentionConfig(embed_dim=2, num_heads=1, window=3)

@@ -1,6 +1,7 @@
 """CLI contract tests: thin-wrapper equality, exit codes, determinism."""
 
 import json
+import math
 import os
 import struct
 import sys
@@ -277,11 +278,13 @@ class TestEval:
     @pytest.mark.parametrize("rows, n_unique", [
         ("bonafide,0\nattack,1e20\n", 2),
         ("bonafide,-1e17\nbonafide,0.7\nattack,0.2\n", 3),
-    ], ids=("attack_1e20", "bonafide_minus_1e17"))
+        ("bonafide,0.9\nattack,0.1\nbonafide,8.988465674311579e307\n", 3),
+    ], ids=("attack_1e20", "bonafide_minus_1e17", "bonafide_below_2_1023"))
     def test_huge_scores_keep_sentinels_distinct(self, workspace, capsys,
                                                  rows, n_unique):
         # a sentinel 1.0 beyond a score of magnitude >= 2**53 rounds back
-        # onto it; the sweep must still span (1, 0) to (0, 1)
+        # onto it; the sweep must still span (1, 0) to (0, 1), and every
+        # printed threshold must read back finite
         path = workspace["dir"] / "huge.csv"
         path.write_text("label,score\n" + rows, encoding="utf-8")
         det_path = workspace["dir"] / "huge_det.csv"
@@ -292,6 +295,7 @@ class TestEval:
         assert len(table) == n_unique + 2
         thresholds = [row[0] for row in table]
         assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+        assert all(map(math.isfinite, thresholds))
         assert table[0][1:] == [1.0, 0.0] and table[-1][1:] == [0.0, 1.0]
 
     def test_score_of_magnitude_2_1023_exits_2_naming_line(self, workspace,

@@ -32,7 +32,6 @@ from chromapad.blocks import (
 from chromapad.colorspace import ColorImage, ColorSpace, image_to_tensor
 from chromapad.errors import ConfigError, ShapeError, SpaceError, WeightFileError
 from chromapad.model import (
-    _DRAW_CHUNK,
     AblationRow,
     BackboneBlockSpec,
     Model,
@@ -56,7 +55,7 @@ from chromapad.quant import (QuantizedTensor, QuantParams,
                              compute_quant_params, dequantize_f32, quantize,
                              quantize_model)
 from chromapad.colorspace import to_ppm_bytes
-from chromapad.tensor_ops import BatchNormParams
+from chromapad.tensor_ops import PIECE_BYTES, BatchNormParams
 
 
 def small_config(**overrides):
@@ -612,6 +611,21 @@ class TestSerialization:
                                bad_name: bad_value}, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [
+        np.float32(1.0),
+        np.zeros((1,) * 5, np.float32),
+        QuantizedTensor(np.int8(0), QuantParams(0.0, 1.0, 1.0, 0)),
+    ], ids=("float_rank_0", "float_rank_5", "quantized_rank_0"))
+    def test_writer_refuses_a_rank_the_reader_refuses(self, tmp_path, value):
+        path = tmp_path / "model.cfpa"
+        path.write_bytes(b"old")
+        rank = np.ndim(getattr(value, "qdata", value))
+        with pytest.raises(WeightFileError, match=f"^tensor 'x' has invalid "
+                                                  f"rank {rank}$"):
+            write_tensor_file({"x": value}, path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["model.cfpa"]
+
     @staticmethod
     def entry(tmp_path, name, value):
         """The bytes of one tensor's entry in a CFPA file."""
@@ -705,10 +719,11 @@ class TestWeightMemory:
     def test_build_allocates_model_plus_one_piece(self):
         build_model(self.CONFIG)  # one-time allocations of a first draw
         model, peak = self.traced_peak(lambda: build_model(self.CONFIG))
-        assert max(w.size for w in model.weights.values()) > 4 * _DRAW_CHUNK
+        assert max(w.size for w in model.weights.values()) > \
+            4 * (PIECE_BYTES // 8)
         model_bytes = sum(w.nbytes for w in model.weights.values())
         # one float64 piece, plus 64 KiB for the layer plan and dicts
-        assert peak <= model_bytes + 8 * _DRAW_CHUNK + (64 << 10)
+        assert peak <= model_bytes + PIECE_BYTES + (64 << 10)
 
     def test_finiteness_check_copies_no_tensor(self):
         built = build_model(self.CONFIG)
@@ -828,12 +843,10 @@ class TestWeightMemory:
         assert c_order.read_bytes() == src.read_bytes()
 
     def test_any_layout_writes_row_major_bytes(self, tmp_path):
-        from chromapad.model import _PIECE
-
         rng = np.random.default_rng(9)
         # rows longer than one write piece are split within the row
         values = {"conv": rng.standard_normal((40, 24, 3, 3)),
-                  "long_rows": rng.standard_normal((3, _PIECE // 2 + 5)),
+                  "long_rows": rng.standard_normal((3, PIECE_BYTES // 2 + 5)),
                   "matrix": rng.standard_normal((70, 50))}
         values = {k: v.astype(np.float32) for k, v in values.items()}
         write_tensor_file(values, tmp_path / "c_order.cfpa")

@@ -10,19 +10,23 @@ traceback.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chromapad.cli import EXIT_DATA, EXIT_IO, EXIT_OK, main
 from chromapad.errors import ChromapadError, ScoreCsvError, WeightFileError
 from chromapad.metrics import ScoreSet, read_scores_csv
 from chromapad.model import (ModelConfig, iter_tensor_file, read_tensor_file,
                              read_text, write_tensor_file)
-from chromapad.quant import quantize_tensor
+from chromapad.quant import (QUANT_TRAILER, QuantizedTensor, QuantParams,
+                             quantize_tensor)
+from chromapad.tensor_ops import MAX_RANK
 
 CONFIG = ModelConfig(
     input_size=16, embed_dim=8, num_heads=2, window=2, pool_factor=2,
@@ -167,6 +171,80 @@ def test_cfpa_loads_or_raises_weight_file_error(work, cfpa, data):
             arr = getattr(value, "qdata", value)
             assert arr.dtype in (np.float32, np.int8)
             assert 1 <= arr.ndim <= 4
+
+
+# the layouts a tensor may arrive in; input-major as `tensor_ops.input_major`
+LAYOUTS = (
+    np.ascontiguousarray,
+    lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0),
+    np.asfortranarray,
+)
+float32s = st.floats(width=32, allow_nan=False)
+
+
+@st.composite
+def quant_params(draw):
+    f_min, f_max = sorted((draw(float32s), draw(float32s)))
+    scale = draw(st.floats(min_value=0.0, exclude_min=True, width=32))
+    # int32 values, and the first one past each end
+    zero = draw(st.one_of(st.integers(-2**31, 2**31 - 1),
+                          st.sampled_from([-2**31 - 1, 2**31])))
+    return QuantParams(f_min, f_max, scale, zero)
+
+
+@st.composite
+def tensor_sets(draw):
+    """Float32 and quantized tensors under non-ASCII names, of rank 0 to
+    MAX_RANK + 1 with extents from 0, each in one of `LAYOUTS`."""
+    tensors = {}
+    for name in draw(st.lists(st.text(max_size=6), max_size=4, unique=True)):
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=MAX_RANK + 1,
+                                      min_side=0, max_side=3))
+        layout = draw(st.sampled_from(LAYOUTS)) if shape else np.asarray
+        if draw(st.booleans()):
+            codes = layout(draw(hnp.arrays(np.int8, shape)))
+            tensors[name] = QuantizedTensor(codes, draw(quant_params()))
+        else:
+            tensors[name] = layout(draw(hnp.arrays(
+                np.float32, shape, elements=st.floats(width=32))))
+    return tensors
+
+
+def entry_bytes(value):
+    """What the file holds of one tensor: dtype, shape, row-major payload
+    and, for a quantized tensor, its parameter trailer."""
+    if isinstance(value, QuantizedTensor):
+        p = value.params
+        return (value.qdata.dtype, value.shape, value.qdata.tobytes(),
+                QUANT_TRAILER.pack(p.f_min, p.f_max, p.scale, p.zero_point))
+    return value.dtype, value.shape, value.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_sets())
+def test_cfpa_round_trips_every_set_the_writer_accepts(work, tensors):
+    out = work / "round_trip"
+    out.mkdir(exist_ok=True)
+    path = out / "set.cfpa"
+    path.write_bytes(b"old")
+    # the writer refuses what the reader would: a rank outside 1..MAX_RANK
+    # or a zero point past int32
+    ranks = [np.ndim(getattr(v, "qdata", v)) for v in tensors.values()]
+    zeros = [v.params.zero_point for v in tensors.values()
+             if isinstance(v, QuantizedTensor)]
+    if not (all(1 <= r <= MAX_RANK for r in ranks)
+            and all(-2**31 <= z < 2**31 for z in zeros)):
+        with pytest.raises(WeightFileError):
+            write_tensor_file(tensors, path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(out) == ["set.cfpa"]
+        return
+    write_tensor_file(tensors, path)
+    want = {name: entry_bytes(tensors[name]) for name in sorted(tensors)}
+    for read in (read_tensor_file, lambda p: dict(iter_tensor_file(p))):
+        got = read(path)
+        assert list(got) == list(want)
+        assert {name: entry_bytes(v) for name, v in got.items()} == want
 
 
 # --- score CSVs --------------------------------------------------------------

@@ -22,6 +22,7 @@ from chromapad.quant import (
     quantize,
     quantize_model,
 )
+from chromapad.tensor_ops import PIECE_BYTES
 
 
 def round_half_away(x):
@@ -172,7 +173,7 @@ class TestLayout:
     an input-major weight dequantizes straight into the layout its product
     reads."""
 
-    # a (out, in, kh, kw) weight spanning several `_CHUNK` pieces
+    # a (out, in, kh, kw) weight spanning several float64 pieces
     SHAPE = (256, 128, 3, 3)
 
     def codes(self):
@@ -198,11 +199,9 @@ class TestLayout:
             dequantize_f32(qt)[:, ::2].tobytes()
 
     def test_dequantize_f32_allocates_result_plus_one_piece(self):
-        from chromapad.quant import _CHUNK
-
         _, qt = self.codes()
         moved = QuantizedTensor(input_major_copy(qt.qdata), qt.params)
-        assert moved.qdata.size > 4 * _CHUNK
+        assert moved.qdata.size > 4 * (PIECE_BYTES // 8)
         dequantize_f32(moved)  # one-time allocations of a first call
         tracemalloc.start()
         try:
@@ -211,7 +210,7 @@ class TestLayout:
         finally:
             tracemalloc.stop()
         # the float32 result and one float64 piece, plus 64 KiB
-        assert peak <= out.nbytes + 8 * _CHUNK + (64 << 10)
+        assert peak <= out.nbytes + PIECE_BYTES + (64 << 10)
 
 
 def test_subnormal_span_round_trips():
@@ -220,6 +219,25 @@ def test_subnormal_span_round_trips():
     p = compute_quant_params(f)
     assert p.scale == 1.0
     assert np.abs(dequantize(quantize(f, p)) - f).max() <= p.f_max - p.f_min
+
+
+@pytest.mark.parametrize("codes", [
+    np.array([300, -129, 1.7]),
+    np.array([200], np.int16),
+    np.array([np.nan]),
+], ids=("float64", "int16", "nan"))
+def test_codes_int8_cannot_hold_raise(codes):
+    with pytest.raises(QuantizationError, match="codes must be integers"):
+        QuantizedTensor(codes, QuantParams(0.0, 1.0, 1.0, 0))
+
+
+def test_codes_int8_holds_are_cast_and_int8_codes_kept():
+    p = QuantParams(0.0, 1.0, 1.0, 0)
+    wide = QuantizedTensor(np.array([-128, 0, 127], np.int16), p)
+    assert wide.qdata.dtype == np.int8
+    assert wide.qdata.tolist() == [-128, 0, 127]
+    codes = np.zeros(3, np.int8)
+    assert QuantizedTensor(codes, p).qdata is codes
 
 
 @settings(max_examples=60)
