@@ -67,6 +67,8 @@ class AttentionParams:
     output splits into [Q | K | V]. ``out_weight`` (d, d) and ``out_bias``
     (d,) mix the concatenated heads. ``rel_bias_table`` is
     (heads, (2w-1)^2), one bias value per head and token offset.
+    ``rel_bias`` is that table's (heads, N, N) `expand_relative_bias`, which
+    a model makes once when it is built; left None, each call expands it.
     """
 
     qkv_weight: np.ndarray
@@ -74,6 +76,7 @@ class AttentionParams:
     out_weight: np.ndarray
     out_bias: np.ndarray
     rel_bias_table: np.ndarray
+    rel_bias: np.ndarray = None
 
     def validate(self, cfg: WindowAttentionConfig):
         d = cfg.embed_dim
@@ -84,6 +87,8 @@ class AttentionParams:
             "out_bias": (d,),
             "rel_bias_table": (cfg.num_heads, cfg.bias_table_size),
         }
+        if self.rel_bias is not None:
+            expected["rel_bias"] = (cfg.num_heads, *[cfg.tokens_per_window] * 2)
         for name, shape in expected.items():
             actual = np.asarray(getattr(self, name)).shape
             if actual != shape:
@@ -220,7 +225,9 @@ def multi_head_window_attention(x, params: AttentionParams,
     # the projection checks every parameter, the bias table included,
     # before the table expands
     q, k, v = qkv_project(windows.reshape(n_windows * n_tokens, d), params, cfg)
-    bias = expand_relative_bias(params.rel_bias_table, cfg.window)
+    bias = params.rel_bias
+    if bias is None:
+        bias = expand_relative_bias(params.rel_bias_table, cfg.window)
     per_head = (cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
     # one call for every (head, window); each head's bias spans its windows
     attended = window_attention_head(q.reshape(per_head), k.reshape(per_head),

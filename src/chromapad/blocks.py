@@ -83,9 +83,10 @@ def backbone_forward(x, params: BackboneParams) -> np.ndarray:
         x = conv2d(x, blk.depthwise_weight, padding=1, groups=blk.in_channels)
         if blk.stride > 1:
             x = avg_pool2d(x, blk.stride)
-        x = relu(batch_norm(x, blk.bn_depthwise))
-        x = conv2d(x, blk.pointwise_weight)
-        x = relu(batch_norm(x, blk.bn_pointwise))
+        x = batch_norm(x, blk.bn_depthwise)
+        relu(x, out=x)  # the norm's output is fresh
+        x = batch_norm(conv2d(x, blk.pointwise_weight), blk.bn_pointwise)
+        relu(x, out=x)
     return x
 
 
@@ -196,8 +197,9 @@ def nested_residual_forward(x, params: NestedResidualParams):
             f"spatial extents {x.shape[1]}x{x.shape[2]} not divisible by "
             f"pool factor {k}"
         )
-    activated = relu(batch_norm(conv2d(x, params.conv1_weight, stride=1,
-                                       padding=1), params.bn1))
+    activated = batch_norm(conv2d(x, params.conv1_weight, stride=1,
+                                  padding=1), params.bn1)
+    relu(activated, out=activated)
     pooled = avg_pool2d(activated, k)
     upsampled = upsample_nearest(pooled, k)
     merged = elementwise_add(activated, upsampled)

@@ -62,6 +62,7 @@ from .attention import (
     PUBLISHED_ATTENTION,
     AttentionParams,
     WindowAttentionConfig,
+    expand_relative_bias,
     multi_head_window_attention,
 )
 from .blocks import (
@@ -332,7 +333,8 @@ class Model:
     int8 codes, which `forward` dequantizes per stage call; any other
     quantized tensor dequantizes here, and float ones are shared. The
     run-ready values are then grouped by plan layer, each norm layer's four
-    tensors as one `BatchNormParams`, and `forward` walks the plan over
+    tensors as one `BatchNormParams` with its scale derived, each attention
+    layer's with its bias table expanded, and `forward` walks the plan over
     them. The mapping and every array are read-only, so `forward` runs what
     `save_weights` saves."""
 
@@ -397,6 +399,11 @@ class Model:
                     raise WeightFileError(
                         f"tensor {layer.specs[-1].name!r}: {exc}") from None
             layers[layer.name] = values
+        for layer in (a for b in plan.branches for a in b.attention):
+            bias = expand_relative_bias(ready[layer.specs[-1].name],
+                                        self.config.window)
+            bias.flags.writeable = False  # the table's expansion, made once
+            layers[layer.name] += (bias,)
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_layers", layers)
@@ -650,11 +657,14 @@ def _write_tensor(fh, name, value):
     trailer = b""
     if isinstance(value, QuantizedTensor):
         p = value.params
-        if not -2**31 <= p.zero_point < 2**31:
-            raise WeightFileError(
-                f"zero point {p.zero_point} of tensor {name!r} does not "
-                f"fit in int32"
-            )
+        for f, kind in zip(fields(p), QUANT_TRAILER.format[1:]):
+            try:
+                struct.pack(f"<{kind}", getattr(p, f.name))
+            except (OverflowError, struct.error):
+                raise WeightFileError(
+                    f"{f.name} {getattr(p, f.name)} of tensor {name!r} does "
+                    f"not fit in {'int32' if kind == 'i' else 'float32'}"
+                ) from None
         code, payload = _DTYPE_QINT8, value.qdata
         trailer = QUANT_TRAILER.pack(*astuple(p))
     else:

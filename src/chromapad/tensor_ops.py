@@ -3,7 +3,7 @@
 Every reduction in this module accumulates in ascending index order, so each
 kernel is bit-reproducible across runs and `matmul` is bit-for-bit equal to a
 naive triple loop. Tensors are numpy float32 arrays of rank 1..4; kernels are
-pure functions and never mutate their inputs.
+pure functions and never mutate their inputs, save `relu` into its ``out``.
 
 `batched_matmul` is the one contraction kernel: `matmul` is its batch of one
 and `conv2d` runs every group as one batch entry; batching never changes the
@@ -17,7 +17,7 @@ than columns runs as ``c.T = b.T @ a.T`` along its longer output axis, with
 the same products (IEEE multiplication commutes) summed in the same
 ascending-k order, and returns the transposed view of that result. A large
 product is split into contiguous shares of batch entries or output rows,
-one per CPU the calling thread may run on (read per call), each run by the
+one per CPU the calling thread may run on (read per split), each run by the
 calling thread or by a thread the call starts and joins before it
 returns, so every output element is still one thread's ascending-k sum.
 
@@ -50,7 +50,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,9 +266,9 @@ def batched_matmul(a, b) -> np.ndarray:
 def _contract(a_t, b, out):
     # out[s] = a_t[s].T @ b[s] on the kernel, b made C-contiguous; returns out
     b = np.ascontiguousarray(b)
-    # split only at _SPLIT_MIN accumulator elements per thread, so small
-    # products, whose thread start-up would outweigh their work, stay serial
-    threads = _usable_cpus()
+    # split only at _SPLIT_MIN accumulator elements per thread, so smaller
+    # products run serially without reading the CPU affinity
+    threads = _usable_cpus() if out.size >= 2 * _SPLIT_MIN else 1
     if threads > 1 and out.size >= threads * _SPLIT_MIN:
         _matmul_split(a_t, b, out, threads)
     else:
@@ -346,17 +346,25 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
                 np.add(out, prod, out)
         out = out.reshape(c_in, span_h + 1, row)[:, :, :span_w + 1]
     else:
-        padded = np.pad(x, [(0, 0)] + [(padding, padding)] * 2) if padding else x
         # one (groups, taps, pixels) patch tensor, taps row-major over
-        # (channel, kernel row, kernel col); the batched matmul's
-        # ascending-k sweep IS the ascending tap order per output element
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (k_h, k_w), axis=(1, 2))[:, ::stride, ::stride]
-        _, out_h, out_w = windows.shape[:3]
+        # (channel, kernel row, kernel col), one strided slice of the padded
+        # input per tap, or an unpadded stride-1 1x1 conv's input itself; the
+        # batched matmul's ascending-k sweep IS the ascending tap order
+        out_h, out_w = span_h // stride + 1, span_w // stride + 1
+        if k_h == k_w == stride == 1 and not padding:
+            patches = x
+        else:
+            padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding),
+                              np.float32)
+            padded[:, padding:padding + h, padding:padding + w] = x
+            patches = np.empty((c_in, k_h, k_w, out_h, out_w), np.float32)
+            for i, j in np.ndindex(k_h, k_w):
+                patches[:, i, j] = padded[:, i:i + span_h + 1:stride,
+                                          j:j + span_w + 1:stride]
         taps = c_in_g * k_h * k_w
-        patches = windows.transpose(0, 3, 4, 1, 2).reshape(groups, taps, -1)
         flat = weight.reshape(groups, c_out // groups, taps)
-        out = batched_matmul(flat, patches).reshape(c_out, out_h, out_w)
+        out = batched_matmul(flat, patches.reshape(groups, taps, -1)).reshape(
+            c_out, out_h, out_w)
     if bias is not None:
         bias = _as_f32(bias, 1, "conv2d bias")
         if bias.shape[0] != c_out:
@@ -376,6 +384,7 @@ class BatchNormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     epsilon: float = 1e-5
+    scale: np.ndarray = field(init=False, repr=False)  # derived once, below
 
     def __post_init__(self):
         for name in ("gamma", "beta", "running_mean", "running_var"):
@@ -391,6 +400,8 @@ class BatchNormParams:
             raise ConfigError("running_var must be non-negative")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "scale", self.gamma / np.sqrt(
+            self.running_var + np.float32(self.epsilon)))
 
     @property
     def channels(self) -> int:
@@ -413,15 +424,14 @@ def batch_norm(x, p: BatchNormParams) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[0]} channels, params have {p.channels}"
         )
-    scale = p.gamma / np.sqrt(p.running_var + np.float32(p.epsilon))
     out = x - p.running_mean[:, None, None]
-    np.multiply(out, scale[:, None, None], out)
+    np.multiply(out, p.scale[:, None, None], out)
     return np.add(out, p.beta[:, None, None], out)
 
 
-def relu(x) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, np.float32), np.float32(0))
+def relu(x, out=None) -> np.ndarray:
+    """Elementwise max(0, x), into ``out`` when given (which may be ``x``)."""
+    return np.maximum(np.asarray(x, np.float32), np.float32(0), out=out)
 
 
 def softmax_last_axis(x) -> np.ndarray:
@@ -431,11 +441,13 @@ def softmax_last_axis(x) -> np.ndarray:
     arithmetic in double precision so each output slice sums to 1 well
     within 1e-6.
     """
-    x64 = np.asarray(x, np.float64)
-    shifted = x64 - np.max(x64, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = functools.reduce(np.add, np.moveaxis(e, -1, 0)[..., None])  # left fold
-    return np.asarray(e / total, np.float32)
+    e = np.array(x, np.float64)  # every pass runs in this one buffer
+    np.subtract(e, np.max(e, axis=-1, keepdims=True), out=e)
+    np.exp(e, out=e)
+    # left-fold row sums: numpy reduces a contiguous leading axis in order
+    total = np.add.reduce(np.moveaxis(e, -1, 0).copy(), axis=0)
+    np.divide(e, total[..., None], out=e)
+    return e.astype(np.float32)
 
 
 def elementwise_add(a, b) -> np.ndarray:

@@ -267,6 +267,27 @@ def test_invalid_params_rejected(entry, name, corrupt, error, message):
         _ENTRY_POINTS[entry](bad)
 
 
+def test_expanded_bias_given_is_checked_and_used():
+    # a model passes each table's expansion, made once; the given bias is
+    # what the call adds, and its shape is checked with the others
+    cfg = WindowAttentionConfig(embed_dim=8, num_heads=2, window=3)
+    params = random_params(cfg, np.random.default_rng(9))
+    x = np.random.default_rng(10).standard_normal((6, 3, 8)).astype(
+        np.float32)
+    expanded = expand_relative_bias(params.rel_bias_table, cfg.window)
+    want = multi_head_window_attention(x, params, cfg)
+    given = dataclasses.replace(params, rel_bias=expanded)
+    assert multi_head_window_attention(x, given, cfg).tobytes() == \
+        want.tobytes()
+    other = dataclasses.replace(params, rel_bias=expanded * np.float32(2))
+    assert multi_head_window_attention(x, other, cfg).tobytes() != \
+        want.tobytes()
+    bad = dataclasses.replace(params, rel_bias=expanded[:, :-1])
+    with pytest.raises(ShapeError, match=r"^rel_bias has shape \(2, 8, 9\), "
+                                         r"expected \(2, 9, 9\)$"):
+        multi_head_window_attention(x, bad, cfg)
+
+
 class TestAttentionHead:
     def test_single_token_returns_value(self):
         q = np.array([[3.0]], np.float32)

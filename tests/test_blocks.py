@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,6 +288,51 @@ class TestNestedResidual:
                 conv2_weight=np.zeros((2, 2, 3, 3), np.float32),
                 bn2=BatchNormParams.identity(2),
             )
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def test_in_place_relu_touches_only_fresh_norm_outputs():
+    # the ReLU after each norm writes into that norm's fresh output: with
+    # every input and parameter read-only, the stages give the bytes of
+    # the out-of-place kernel composition and share no memory with inputs
+    def bn(c):  # shifted down, so each ReLU zeroes some values
+        p = BatchNormParams(np.ones(c), np.full(c, -0.25), np.zeros(c),
+                            np.ones(c))
+        _frozen(p.gamma, p.beta, p.running_mean, p.running_var, p.scale)
+        return p
+
+    rng = np.random.default_rng(16)
+    blocks = tuple(replace(make_block(rng, c_in, 4, stride), bn_depthwise=bn(
+        c_in), bn_pointwise=bn(4)) for c_in, stride in ((3, 2), (4, 1)))
+    res = replace(make_residual(rng, 4), bn1=bn(4), bn2=bn(4))
+    _frozen(*(w for b in blocks
+              for w in (b.depthwise_weight, b.pointwise_weight)),
+            res.conv1_weight, res.conv2_weight)
+    x = rng.standard_normal((3, 8, 8)).astype(np.float32)
+    _frozen(x)
+    feats = backbone_forward(x, BackboneParams(blocks))
+    want = x
+    for blk in blocks:
+        want = conv2d(want, blk.depthwise_weight, padding=1,
+                      groups=blk.in_channels)
+        if blk.stride > 1:
+            want = avg_pool2d(want, blk.stride)
+        want = relu(batch_norm(want, blk.bn_depthwise))
+        want = relu(batch_norm(conv2d(want, blk.pointwise_weight),
+                               blk.bn_pointwise))
+    assert np.any(want == 0) and feats.tobytes() == want.tobytes()
+    _frozen(feats)
+    out, trace = nested_residual_forward(feats, res)
+    activated = relu(batch_norm(conv2d(feats, res.conv1_weight, padding=1),
+                                res.bn1))
+    assert np.any(activated == 0)
+    assert trace.activated.tobytes() == activated.tobytes()
+    for arr in (out, *vars(trace).values()):
+        assert not np.shares_memory(arr, feats)
 
 
 class TestClassifier:

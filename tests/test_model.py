@@ -626,6 +626,24 @@ class TestSerialization:
         assert path.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["model.cfpa"]
 
+    @pytest.mark.parametrize("field, params", [
+        ("f_min", QuantParams(-1e300, 0.0, 1.0, 0)),
+        ("f_max", QuantParams(0.0, 1e300, 1e300, 0)),
+        ("scale", QuantParams(0.0, 1.0, 1e300, 0)),
+        ("zero_point", QuantParams(0.0, 1.0, 1.0, -2**31 - 1)),
+    ])
+    def test_writer_refuses_params_the_trailer_cannot_hold(
+            self, tmp_path, field, params):
+        path = tmp_path / "model.cfpa"
+        path.write_bytes(b"old")
+        kind = "int32" if field == "zero_point" else "float32"
+        with pytest.raises(WeightFileError, match=f"^{field} .* of tensor "
+                                                  f"'x' does not fit in {kind}$"):
+            write_tensor_file({"x": QuantizedTensor(np.zeros(2, np.int8),
+                                                    params)}, path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["model.cfpa"]
+
     @staticmethod
     def entry(tmp_path, name, value):
         """The bytes of one tensor's entry in a CFPA file."""
@@ -944,6 +962,55 @@ def test_paper_dq_forward_copies_no_large_operand(tmp_path, monkeypatch):
     monkeypatch.setattr(T, "_contract", contract)
     forward(model, random_image(cfg.input_size, seed=31))
     assert copied and max(copied) <= 1 << 20
+
+
+@pytest.mark.parametrize("dq", (False, True), ids=("float", "dq"))
+def test_forward_uses_constants_made_when_built(tmp_path, monkeypatch, dq):
+    # each attention layer's expanded bias and each batch norm's scale (the
+    # forward's only square root) are made when a model is built or loaded;
+    # a forward makes neither
+    import chromapad.attention as A
+    import chromapad.model as M
+    from chromapad.plan import layer_plan
+
+    calls = []
+
+    def counted(what, fn):
+        def run(*args, **kwargs):
+            calls.append(what)
+            return fn(*args, **kwargs)
+        return run
+
+    cfg = ModelConfig.desk(dq_enabled=dq)
+    build_model(cfg)  # a first build imports modules that take square roots
+    expand = counted("expand", A.expand_relative_bias)
+    monkeypatch.setattr(A, "expand_relative_bias", expand)
+    monkeypatch.setattr(M, "expand_relative_bias", expand)
+    monkeypatch.setattr(np, "sqrt", counted("sqrt", np.sqrt))
+    plan = layer_plan(cfg)
+    made = sorted(["expand"] * sum(len(b.attention) for b in plan.branches)
+                  + ["sqrt"] * sum(layer.norm for layer in plan.layers))
+    path = tmp_path / "model.cfpa"
+    models = [build_model(cfg)]
+    save_weights(models[0], path)
+    assert sorted(calls) == made
+    calls.clear()
+    models.append(load_weights(path, cfg))
+    assert sorted(calls) == made
+    scores = []
+    for model in models:
+        calls.clear()
+        scores.append(forward(model, random_image(cfg.input_size, 33))[0])
+        assert calls == []
+    assert scores[0] == scores[1]
+    # a table the file holds is still checked before it expands
+    weights = dict(models[0].weights)
+    name = plan.branches[0].attention[0].specs[-1].name
+    weights[name] = np.full(weights[name].shape, np.nan, np.float32)
+    write_tensor_file(weights, path)
+    with pytest.raises(WeightFileError,
+                       match=f"^tensor '{name}' holds non-finite values$"):
+        load_weights(path, cfg)
 
 
 class TestScoresFromImages:

@@ -1,8 +1,9 @@
 """Tensor kernel tests against independent reference implementations."""
 
+import functools
 import itertools
+import operator
 import os
-import types
 
 import numpy as np
 import pytest
@@ -270,6 +271,82 @@ class TestConv2d:
                     got = conv2d(x, weight, stride=2, padding=1, groups=5)
                 assert_same_bits(got, want)
 
+    @staticmethod
+    def window_view_conv(x, weight, stride, padding, groups):
+        """The im2col oracle: a (groups, taps, pixels) patch tensor from
+        np.pad and sliding_window_view, through `batched_matmul`."""
+        c_out, c_in_g, k_h, k_w = weight.shape
+        padded = np.pad(x, [(0, 0)] + [(padding, padding)] * 2)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (k_h, k_w), axis=(1, 2))[:, ::stride, ::stride]
+        out_h, out_w = windows.shape[1:3]
+        taps = c_in_g * k_h * k_w
+        patches = windows.transpose(0, 3, 4, 1, 2).reshape(groups, taps, -1)
+        flat = weight.reshape(groups, c_out // groups, taps)
+        return batched_matmul(flat, patches).reshape(c_out, out_h, out_w)
+
+    def test_patches_match_window_view_im2col_bitwise(self, monkeypatch):
+        # every conv off the tap path: the 1x1 path reads its input as the
+        # patches, any other builds them from strided slices. Over kernels
+        # 1..3 (square or not), stride 1..2, padding 0..2, groups 1, 2 and
+        # C_in, odd and non-square extents, with signed zeros, infinities
+        # and wide exponents, on einsum and the ufunc loop, the bytes are
+        # the window-view im2col's, and no input is written
+        import chromapad.tensor_ops as T
+
+        rng = np.random.default_rng(23)
+        cases = itertools.product(range(1, 4), range(1, 4), (1, 2),
+                                  range(3), ("1", "2", "C_in"))
+        for case, (k_h, k_w, stride, padding, kind) in enumerate(cases):
+            c_in = 1 if case % 7 == 0 else 2 * int(rng.integers(1, 3))
+            groups = {"1": 1, "2": min(2, c_in), "C_in": c_in}[kind]
+            # a depthwise stride-1 conv would take the tap path
+            c_out = groups * int(rng.integers(1, 3)) * (
+                2 if stride == 1 and groups == c_in else 1)
+            h, w = (stride * int(rng.integers(1, 4)) + k - 2 * padding
+                    + stride * (padding + 1) for k in (k_h, k_w))
+            x = wide_values(rng, (c_in, h, w))
+            weight = wide_values(rng, (c_out, c_in // groups, k_h, k_w),
+                                 specials=(0.0, -0.0))
+            with np.errstate(all="ignore"):
+                want = self.window_view_conv(x, weight, stride, padding,
+                                             groups)
+            x.flags.writeable = weight.flags.writeable = False
+            for einsum in (True, False):
+                with monkeypatch.context() as patch:
+                    if not einsum:
+                        patch.setattr(T, "_einsum_keeps_bits", lambda: False)
+                    with np.errstate(all="ignore"):
+                        got = conv2d(x, weight, stride=stride,
+                                     padding=padding, groups=groups)
+                assert got.shape == want.shape and got.dtype == np.float32
+                assert_same_bits(got, want)
+
+    def test_kernels_never_write_their_inputs(self):
+        # read-only operands, so a kernel that wrote one would raise
+        rng = np.random.default_rng(24)
+        x = wide_values(rng, (4, 6, 6), specials=())
+        dw, pw, full, bias = (rng.standard_normal(shape).astype(np.float32)
+                              for shape in ((4, 1, 3, 3), (4, 4, 1, 1),
+                                            (4, 4, 3, 3), (4,)))
+        bn = BatchNormParams(*np.abs(rng.standard_normal((4, 4))))
+        for arr in (x, dw, pw, full, bias, bn.gamma, bn.beta,
+                    bn.running_mean, bn.running_var, bn.scale):
+            arr.flags.writeable = False
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            conv2d(x, dw, bias, padding=1, groups=4)
+            conv2d(x[:, 1:, 1:], dw, bias, stride=2, padding=1, groups=4)
+            conv2d(x, pw, bias)
+            conv2d(x, full, bias, padding=1)
+            batch_norm(x, bn)
+            relu(x)
+            softmax_last_axis(x)
+            avg_pool2d(x, 2)
+            upsample_nearest(x, 2)
+            batched_matmul(x, x)
+        assert x.tobytes() == before.tobytes()
+
     def test_non_integer_output_extent_rejected(self):
         x = np.zeros((1, 4, 4), np.float32)
         w = np.zeros((1, 1, 3, 3), np.float32)
@@ -390,35 +467,41 @@ class TestSoftmax:
         assert np.max(np.abs(softmax_last_axis(x) -
                              softmax_last_axis(shifted))) < 1e-6
 
-    def test_fold_matches_cumsum_bitwise(self, monkeypatch):
-        # the row sums are a left fold, the order np.cumsum adds in, on
-        # float64 rows of widely spread exponents; the fold is checked where
-        # it runs, since the float32 result would rarely show a changed sum
-        import functools
+    @staticmethod
+    def left_fold_softmax(x):
+        """softmax's float64 passes, each row summed by a Python left fold;
+        also returns the row sums."""
+        x64 = x.astype(np.float64)
+        e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+        total = np.array([functools.reduce(operator.add, row)
+                          for row in e.reshape(-1, x.shape[-1]).tolist()])
+        total = total.reshape(*x.shape[:-1], 1)
+        return (e / total).astype(np.float32), e, total
 
-        import chromapad.tensor_ops as T
-
-        folds = []
-
-        def reduce(fn, items):
-            items = list(items)
-            total = functools.reduce(fn, items)
-            folds.append((np.concatenate(items, axis=-1), total))
-            return total
-
-        monkeypatch.setattr(T, "functools", types.SimpleNamespace(
-            reduce=reduce))
+    def test_row_sums_are_left_folds_bitwise(self):
+        # rows of widely spread exponents, the paper head shape among them,
+        # and rows where a row sum one ulp off changes an output byte:
+        # [0, a, 47 values below -37], with e^a / (1 + e^a) just either side
+        # of a float32 midpoint. A left fold drops the e^-37-sized terms,
+        # each under half an ulp of its running sum; a pairwise sum or a
+        # fold from the right adds them first, and they add up to ulps
         rng = np.random.default_rng(14)
-        for shape in ((49,), (16, 49, 49), (7, 1)):
+        for shape in ((49,), (16, 49, 49), (7, 1), (24, 4, 49, 49)):
             x = (rng.random(shape) * -700).astype(np.float32)
-            got = softmax_last_axis(x)
-            e, total = folds[-1]
-            assert total.tobytes() == \
-                np.cumsum(e, axis=-1)[..., -1:].tobytes()
-            x64 = x.astype(np.float64)
-            e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
-            want = (e / np.cumsum(e, axis=-1)[..., -1:]).astype(np.float32)
-            assert got.tobytes() == want.tobytes()
+            want, _, _ = self.left_fold_softmax(x)
+            assert softmax_last_axis(x).tobytes() == want.tobytes()
+        mid = 0.5 - (2 * np.arange(64) + 1) * 2.0 ** -26
+        a = np.log(mid / (1 - mid)).astype(np.float32).view(np.int32)
+        x = np.zeros((64 * 17, 49), np.float32)
+        x[:, 1] = (a[:, None] + np.arange(-8, 9, dtype=np.int32)).reshape(
+            -1).view(np.float32)
+        x[:, 2:] = -37 - rng.random((len(x), 47))
+        want, e, total = self.left_fold_softmax(x)
+        flips = [np.any(want != (e / np.nextafter(total, to)).astype(
+            np.float32), axis=-1) for to in (np.inf, 0)]
+        assert min(flip.sum() for flip in flips) >= 8
+        got = softmax_last_axis(x)
+        assert got.tobytes() == want.tobytes()
 
     def test_extreme_values_stay_finite(self):
         out = softmax_last_axis(np.array([1e4, -1e4, 0.0], np.float32))
@@ -572,6 +655,20 @@ class TestSplitProducts:
             got = batched_matmul(a, b)
             assert len(split_threads) == splits
             assert got.tobytes() == serial_kernel_product(a, b).tobytes()
+
+    def test_only_products_that_can_split_read_the_affinity(self,
+                                                            monkeypatch):
+        # under two threads' gate a product runs serially without reading
+        # the CPU affinity, as every product of a desk forward does
+        import chromapad.tensor_ops as T
+
+        reads = []
+        monkeypatch.setattr(T, "_usable_cpus", lambda: reads.append(1) or 1)
+        rows = 2 * T._SPLIT_MIN // 512
+        for m, want in ((rows - 1, 0), (rows, 1)):
+            del reads[:]
+            batched_matmul(*random_operands(m, 1, m, 3, 512))
+            assert len(reads) == want
 
     def test_paper_residual_shape(self, split_threads):
         a, b = random_operands(768, 1, 768, 6912, 196)
