@@ -10,7 +10,7 @@ import numpy as np
 
 from chromapad import (
     AttentionParams,
-    WindowAttentionConfig,
+    ModelConfig,
     expand_relative_bias,
     multi_head_window_attention,
     relative_index_map,
@@ -18,47 +18,50 @@ from chromapad import (
     window_reverse,
 )
 
-cfg = WindowAttentionConfig(embed_dim=8, num_heads=2, window=2)
-print(f"config: d={cfg.embed_dim}, heads={cfg.num_heads}, "
-      f"window={cfg.window}, tokens/window={cfg.tokens_per_window}, "
-      f"head_dim={cfg.head_dim}")
-
+window = 2
 rng = np.random.default_rng(0)
 x = rng.standard_normal((4, 4, 8)).astype(np.float32)
 
 # partition: row-major windows, row-major tokens inside each window
-windows = window_partition(x, cfg.window)
+windows = window_partition(x, window)
 print("partitioned", x.shape, "->", windows.shape)
 print("round trip is bit-exact:",
-      window_reverse(windows, 4, 4, cfg.window).tobytes() == x.tobytes())
+      window_reverse(windows, 4, 4, window).tobytes() == x.tobytes())
 
 # the relative index map ties bias entries to token offsets: every pair of
 # tokens with the same (row, col) offset shares one table slot per head
-idx = relative_index_map(cfg.window)
+idx = relative_index_map(window)
 print("\nrelative index map for a 2x2 window:\n", idx)
 
+# the parameters carry the dimensions: d from the QKV weight, heads and the
+# window from the bias, a (heads, (2w-1)^2) table expanded once
+qkv_weight = (rng.standard_normal((24, 8)) / np.sqrt(8)).astype(np.float32)
+out_weight = (rng.standard_normal((8, 8)) / np.sqrt(8)).astype(np.float32)
+table = rng.standard_normal((2, 9)).astype(np.float32) * 0.1
 params = AttentionParams(
-    qkv_weight=(rng.standard_normal((24, 8)) / np.sqrt(8)).astype(np.float32),
+    qkv_weight=qkv_weight,
     qkv_bias=np.zeros(24, np.float32),
-    out_weight=(rng.standard_normal((8, 8)) / np.sqrt(8)).astype(np.float32),
+    out_weight=out_weight,
     out_bias=np.zeros(8, np.float32),
-    rel_bias_table=rng.standard_normal((2, 9)).astype(np.float32) * 0.1,
+    rel_bias=expand_relative_bias(table, window),
 )
-bias = expand_relative_bias(params.rel_bias_table, cfg.window)
-print("per-head bias matrices:", bias.shape)
+print(f"\nparams: d={params.embed_dim}, heads={params.num_heads}, "
+      f"window={params.window}, tokens/window={params.window ** 2}, "
+      f"head_dim={params.embed_dim // params.num_heads}")
+print("per-head bias matrices:", params.rel_bias.shape)
 
-out = multi_head_window_attention(x, params, cfg)
+out = multi_head_window_attention(x, params)
 print("\nattention output:", out.shape)
 
 # locality: perturbing one window leaves every other window bit-identical
 bumped = x.copy()
 bumped[:2, :2, :] += 1.0
-out_bumped = multi_head_window_attention(bumped, params, cfg)
+out_bumped = multi_head_window_attention(bumped, params)
 same = out_bumped[2:, :, :].tobytes() == out[2:, :, :].tobytes()
 print("other windows untouched by a window-0 perturbation:", same)
 
-# the published dimensions build and run as-is
-paper_cfg = WindowAttentionConfig(embed_dim=768, num_heads=24, window=7)
-print("\npublished preset:", paper_cfg.embed_dim, "dims,",
-      paper_cfg.num_heads, "heads,", paper_cfg.tokens_per_window,
-      "tokens per window, head_dim", paper_cfg.head_dim)
+# the published dimensions are the paper preset's
+paper = ModelConfig.paper()
+print("\npublished preset:", paper.embed_dim, "dims,", paper.num_heads,
+      "heads,", paper.window ** 2, "tokens per window, head_dim",
+      paper.embed_dim // paper.num_heads)

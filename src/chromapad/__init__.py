@@ -4,8 +4,6 @@ and ISO-style PAD metrics."""
 
 from .attention import (
     AttentionParams,
-    PUBLISHED_ATTENTION,
-    WindowAttentionConfig,
     expand_relative_bias,
     multi_head_window_attention,
     qkv_project,

@@ -19,82 +19,64 @@ from .errors import ConfigError, ShapeError
 from .tensor_ops import batched_matmul, matmul, softmax_last_axis
 
 
-@dataclass(frozen=True)
-class WindowAttentionConfig:
-    """Dimensions of the window attention stage."""
-
-    embed_dim: int
-    num_heads: int
-    window: int
-
-    def __post_init__(self):
-        problems = []
-        if self.embed_dim < 1:
-            problems.append(f"embed_dim must be positive, got {self.embed_dim}")
-        if self.num_heads < 1:
-            problems.append(f"num_heads must be positive, got {self.num_heads}")
-        if self.window < 1:
-            problems.append(f"window must be positive, got {self.window}")
-        if self.num_heads >= 1 and self.embed_dim % self.num_heads:
-            problems.append(
-                f"embed_dim {self.embed_dim} not divisible by "
-                f"num_heads {self.num_heads}"
-            )
-        if problems:
-            raise ConfigError("; ".join(problems))
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
-    @property
-    def tokens_per_window(self) -> int:
-        return self.window * self.window
-
-    @property
-    def bias_table_size(self) -> int:
-        return (2 * self.window - 1) ** 2
-
-
-PUBLISHED_ATTENTION = WindowAttentionConfig(embed_dim=768, num_heads=24, window=7)
-
-
 @dataclass(frozen=True, eq=False)
 class AttentionParams:
-    """Projection weights and the shared relative position bias table.
+    """Projection weights and relative position bias of one window attention
+    stage; their shapes are its dimensions, checked once, when it is made.
 
     ``qkv_weight`` is (3d, d) and ``qkv_bias`` (3d,): one affine map whose
     output splits into [Q | K | V]. ``out_weight`` (d, d) and ``out_bias``
-    (d,) mix the concatenated heads. ``rel_bias_table`` is
-    (heads, (2w-1)^2), one bias value per head and token offset.
-    ``rel_bias`` is that table's (heads, N, N) `expand_relative_bias`, which
-    a model makes once when it is built; left None, each call expands it.
+    (d,) mix the concatenated heads. ``rel_bias`` (heads, N, N) is the
+    `expand_relative_bias` of a (heads, (2w-1)^2) table, for w x w windows
+    of N = w^2 tokens.
     """
 
     qkv_weight: np.ndarray
     qkv_bias: np.ndarray
     out_weight: np.ndarray
     out_bias: np.ndarray
-    rel_bias_table: np.ndarray
-    rel_bias: np.ndarray = None
+    rel_bias: np.ndarray
 
-    def validate(self, cfg: WindowAttentionConfig):
-        d = cfg.embed_dim
+    def __post_init__(self):
+        qkv, bias = np.shape(self.qkv_weight), np.shape(self.rel_bias)
+        if len(qkv) != 2 or qkv[1] < 1:
+            raise ShapeError(f"qkv_weight has shape {qkv}, expected (3d, d) "
+                             f"with d >= 1")
+        if len(bias) != 3 or min(bias[0], bias[2]) < 1:
+            raise ShapeError(f"rel_bias has shape {bias}, expected "
+                             f"(heads, N, N) with heads, N >= 1")
+        d, heads, n = qkv[1], bias[0], bias[2]
+        if d % heads:
+            raise ConfigError(f"rel_bias has {heads} heads, which do not "
+                              f"divide embed_dim {d}")
+        if math.isqrt(n) ** 2 != n:
+            raise ShapeError(f"rel_bias has {n} tokens per window, which is "
+                             f"not a square")
         expected = {
             "qkv_weight": (3 * d, d),
             "qkv_bias": (3 * d,),
             "out_weight": (d, d),
             "out_bias": (d,),
-            "rel_bias_table": (cfg.num_heads, cfg.bias_table_size),
+            "rel_bias": (heads, n, n),
         }
-        if self.rel_bias is not None:
-            expected["rel_bias"] = (cfg.num_heads, *[cfg.tokens_per_window] * 2)
         for name, shape in expected.items():
-            actual = np.asarray(getattr(self, name)).shape
+            actual = np.shape(getattr(self, name))
             if actual != shape:
                 raise ShapeError(f"{name} has shape {actual}, expected {shape}")
-        if not np.isfinite(self.rel_bias_table).all():
-            raise ConfigError("rel_bias_table contains non-finite values")
+        if not np.isfinite(self.rel_bias).all():
+            raise ConfigError("rel_bias contains non-finite values")
+
+    @property
+    def embed_dim(self) -> int:
+        return np.shape(self.qkv_weight)[1]
+
+    @property
+    def num_heads(self) -> int:
+        return np.shape(self.rel_bias)[0]
+
+    @property
+    def window(self) -> int:
+        return math.isqrt(np.shape(self.rel_bias)[2])
 
 
 def relative_index_map(window: int) -> np.ndarray:
@@ -160,22 +142,21 @@ def window_reverse(windows, h: int, w: int, window: int) -> np.ndarray:
     return grid.reshape(h, w, d)
 
 
-def qkv_project(tokens, params: AttentionParams, cfg: WindowAttentionConfig):
+def qkv_project(tokens, params: AttentionParams):
     """Project tokens to per-head query/key/value stacks.
 
     One affine map of width 3d applies to every row of ``tokens`` (T, d);
     the output splits in order [Q | K | V] and each part splits head-major
-    into contiguous runs of ``head_dim`` columns. Returns three views of the
-    projection, each (heads, T, head_dim).
+    into contiguous runs of d / heads columns. Returns three views of the
+    projection, each (heads, T, d / heads).
     """
     tokens = np.asarray(tokens, np.float32)
-    d = cfg.embed_dim
+    d, heads = params.embed_dim, params.num_heads
     if tokens.ndim != 2 or tokens.shape[1] != d:
         raise ShapeError(f"tokens shape {tokens.shape}, expected (T, {d})")
-    params.validate(cfg)
     proj = matmul(tokens, params.qkv_weight.T)
     proj = proj + params.qkv_bias
-    parts = proj.reshape(-1, 3, cfg.num_heads, cfg.head_dim)
+    parts = proj.reshape(-1, 3, heads, d // heads)
     return tuple(parts.transpose(1, 2, 0, 3))
 
 
@@ -206,8 +187,7 @@ def window_attention_head(q, k, v, bias) -> np.ndarray:
                           v.reshape(-1, n, v.shape[-1])).reshape(v.shape)
 
 
-def multi_head_window_attention(x, params: AttentionParams,
-                                cfg: WindowAttentionConfig) -> np.ndarray:
+def multi_head_window_attention(x, params: AttentionParams) -> np.ndarray:
     """Windowed multi-head attention over a (H, W, d) feature map.
 
     Every window runs the same parameters: QKV projection, per-head biased
@@ -215,25 +195,20 @@ def multi_head_window_attention(x, params: AttentionParams,
     back into the map.
     """
     x = np.asarray(x, np.float32)
-    if x.ndim != 3 or x.shape[2] != cfg.embed_dim:
-        raise ShapeError(
-            f"feature map shape {x.shape}, expected (H, W, {cfg.embed_dim})"
-        )
-    h, w, d = x.shape
-    windows = window_partition(x, cfg.window)
+    d, heads, window = params.embed_dim, params.num_heads, params.window
+    if x.ndim != 3 or x.shape[2] != d:
+        raise ShapeError(f"feature map shape {x.shape}, expected (H, W, {d})")
+    h, w, _ = x.shape
+    windows = window_partition(x, window)
     n_windows, n_tokens, _ = windows.shape
-    # the projection checks every parameter, the bias table included,
-    # before the table expands
-    q, k, v = qkv_project(windows.reshape(n_windows * n_tokens, d), params, cfg)
-    bias = params.rel_bias
-    if bias is None:
-        bias = expand_relative_bias(params.rel_bias_table, cfg.window)
-    per_head = (cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
+    q, k, v = qkv_project(windows.reshape(n_windows * n_tokens, d), params)
+    per_head = (heads, n_windows, n_tokens, d // heads)
     # one call for every (head, window); each head's bias spans its windows
     attended = window_attention_head(q.reshape(per_head), k.reshape(per_head),
-                                     v.reshape(per_head), bias[:, None])
+                                     v.reshape(per_head),
+                                     params.rel_bias[:, None])
     # concatenate heads along channels: (heads, nW, N, d_h) -> (nW * N, d)
     out = attended.transpose(1, 2, 0, 3).reshape(n_windows * n_tokens, d)
     mixed = matmul(out, params.out_weight.T)
     mixed = mixed + params.out_bias
-    return window_reverse(mixed.reshape(n_windows, n_tokens, d), h, w, cfg.window)
+    return window_reverse(mixed.reshape(n_windows, n_tokens, d), h, w, window)

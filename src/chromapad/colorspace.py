@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PpmParseError, ShapeError, SpaceError
+from .errors import ChromapadError, PpmParseError, ShapeError, SpaceError
 from .quant import _round_half_away
 
 
@@ -26,7 +26,9 @@ class ColorSpace(enum.Enum):
 class ColorImage:
     """An 8-bit three-channel image tagged with its color space.
 
-    ``pixels`` is a (height, width, 3) uint8 array in row-major order.
+    ``pixels`` is a (height, width, 3) uint8 array in row-major order; other
+    pixel arrays must hold integers in [0, 255], or `ChromapadError` is
+    raised.
     """
 
     width: int
@@ -39,7 +41,12 @@ class ColorImage:
             raise ShapeError(
                 f"image extents must be positive, got {self.width}x{self.height}"
             )
-        px = np.asarray(self.pixels, np.uint8)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8:
+            with np.errstate(invalid="ignore"):
+                px, given = px.astype(np.uint8), px
+            if not np.array_equal(px, given):
+                raise ChromapadError("pixels must be integers in [0, 255]")
         if px.shape != (self.height, self.width, 3):
             raise ShapeError(
                 f"pixel array shape {px.shape} does not match "

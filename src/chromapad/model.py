@@ -58,13 +58,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .attention import (
-    PUBLISHED_ATTENTION,
-    AttentionParams,
-    WindowAttentionConfig,
-    expand_relative_bias,
-    multi_head_window_attention,
-)
+from .attention import (AttentionParams, expand_relative_bias,
+                        multi_head_window_attention)
 from .blocks import (
     BackboneBlockParams,
     BackboneParams,
@@ -200,9 +195,9 @@ class ModelConfig:
         """Published attention dimensions: d=768, 24 heads, 7x7 windows."""
         defaults = dict(
             preset="paper",
-            embed_dim=PUBLISHED_ATTENTION.embed_dim,
-            num_heads=PUBLISHED_ATTENTION.num_heads,
-            window=PUBLISHED_ATTENTION.window,
+            embed_dim=768,
+            num_heads=24,
+            window=7,
             backbone=(
                 BackboneBlockSpec(32, 2),
                 BackboneBlockSpec(64, 2),
@@ -253,13 +248,6 @@ class ModelConfig:
         """Backbone output extent: input_size over the product of strides."""
         return self.input_size // math.prod(
             blk.stride for blk in self.backbone)
-
-    @property
-    def attention_config(self) -> WindowAttentionConfig:
-        return WindowAttentionConfig(
-            embed_dim=self.embed_dim, num_heads=self.num_heads,
-            window=self.window,
-        )
 
     def to_json_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -334,9 +322,9 @@ class Model:
     quantized tensor dequantizes here, and float ones are shared. The
     run-ready values are then grouped by plan layer, each norm layer's four
     tensors as one `BatchNormParams` with its scale derived, each attention
-    layer's with its bias table expanded, and `forward` walks the plan over
-    them. The mapping and every array are read-only, so `forward` runs what
-    `save_weights` saves."""
+    layer's with its bias table replaced by its expansion, and `forward`
+    walks the plan over them. The mapping and every array are read-only, so
+    `forward` runs what `save_weights` saves."""
 
     config: ModelConfig
     weights: dict = field(repr=False)  # read-only after construction
@@ -400,10 +388,10 @@ class Model:
                         f"tensor {layer.specs[-1].name!r}: {exc}") from None
             layers[layer.name] = values
         for layer in (a for b in plan.branches for a in b.attention):
-            bias = expand_relative_bias(ready[layer.specs[-1].name],
-                                        self.config.window)
+            *projections, table = layers[layer.name]
+            bias = expand_relative_bias(table, self.config.window)
             bias.flags.writeable = False  # the table's expansion, made once
-            layers[layer.name] += (bias,)
+            layers[layer.name] = (*projections, bias)
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_layers", layers)
@@ -456,7 +444,8 @@ def build_model(cfg: ModelConfig) -> Model:
 
 
 def forward(model: Model, img: ColorImage, want_debug: bool = False):
-    """Score one RGB image; returns (bona fide probability, debug or None)."""
+    """Score one RGB image; returns (bona fide probability, debug or None).
+    A probability that is not finite raises `ChromapadError`."""
     cfg = model.config
     if img.space is not ColorSpace.RGB:
         raise SpaceError(f"forward expects an RGB image, got {img.space.value}")
@@ -478,8 +467,7 @@ def forward(model: Model, img: ColorImage, want_debug: bool = False):
         tokens = bottleneck_project(feats, *take(b.bottleneck))
         if b.attention:
             tokens = multi_head_window_attention(
-                tokens, AttentionParams(*take(*b.attention)),
-                cfg.attention_config)
+                tokens, AttentionParams(*take(*b.attention)))
         branch_tokens.append(tokens)
         if want_debug:
             debug["branches"][b.space.value] = {
@@ -496,6 +484,9 @@ def forward(model: Model, img: ColorImage, want_debug: bool = False):
         if want_debug:
             debug["residual_trace"] = trace
     probs = classifier_head(fused, *take(plan.classifier))
+    if not np.isfinite(probs[0]):
+        raise ChromapadError(f"bona fide probability is {probs[0]}: the "
+                             f"forward pass overflowed float32")
     if want_debug:
         debug["probabilities"] = probs
     return float(probs[0]), debug
@@ -508,13 +499,16 @@ def forward_ppm(model: Model, ppm_bytes: bytes) -> float:
 
 def score_ppm_file(model: Model, path, forward=forward_ppm) -> float:
     """``forward(model, bytes)`` of the PPM file at ``path``; a
-    `PpmParseError` is raised again with ``path`` in its message."""
+    `ChromapadError` is raised again, of its class, with ``path`` in its
+    message."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return forward(model, data)
     except PpmParseError as exc:
         raise PpmParseError(f"{path}: {exc.reason}", exc.offset) from None
+    except ChromapadError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # --- scoring many images ---------------------------------------------------

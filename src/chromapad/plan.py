@@ -71,20 +71,21 @@ def macs_linear(d_in, d_out, tokens):
     return tokens * d_in * d_out, d_in * d_out + d_out
 
 
-def macs_window_attention(cfg, n_windows):
+def macs_window_attention(d, heads, window, n_windows):
     """(macs, params) of the multi-head window attention stage.
 
-    Per window: 3*N*d^2 for the QKV projection, 2*N^2*d for the logits and
-    the weighted value sum across all heads, and N*d^2 for the output mix.
-    Parameters are the QKV and output affines plus the per-head bias table.
+    Per window of N = window^2 tokens: 3*N*d^2 for the QKV projection,
+    2*N^2*d for the logits and the weighted value sum across all heads, and
+    N*d^2 for the output mix. Parameters are the QKV and output affines
+    plus the per-head bias table of (2*window - 1)^2 entries.
     """
+    _check_positive(d=d, heads=heads, window=window)
     if n_windows < 0:
         raise ConfigError(f"n_windows must be non-negative, got {n_windows}")
-    n = cfg.tokens_per_window
-    d = cfg.embed_dim
+    n = window * window
     per_window = 3 * n * d * d + 2 * n * n * d + n * d * d
     params = (3 * d * d + 3 * d) + (d * d + d) \
-        + cfg.num_heads * cfg.bias_table_size
+        + heads * (2 * window - 1) ** 2
     return per_window * n_windows, params
 
 
@@ -108,7 +109,8 @@ def _affine(weight, *shape):
 
 def layer_plan(cfg) -> LayerPlan:
     """The ordered layers of the network a `model.ModelConfig` describes."""
-    d, fs, attn = cfg.embed_dim, cfg.feature_size, cfg.attention_config
+    d, fs, heads, window = (cfg.embed_dim, cfg.feature_size, cfg.num_heads,
+                            cfg.window)
     branches = []
     for space in cfg.branches:
         base = f"branch.{space.value}"
@@ -135,8 +137,8 @@ def layer_plan(cfg) -> LayerPlan:
                 *_affine(f"{at}.qkv_weight", 3 * d, d),
                 *_affine(f"{at}.out_weight", d, d),
                 _TensorSpec(f"{at}.rel_bias_table",
-                            (cfg.num_heads, attn.bias_table_size), "zeros"),
-            ), *macs_window_attention(attn, (fs // cfg.window) ** 2)),)
+                            (heads, (2 * window - 1) ** 2), "zeros"),
+            ), *macs_window_attention(d, heads, window, (fs // window) ** 2)),)
         branches.append(Branch(space, tuple(blocks), bottleneck, attention))
     residual = tuple(
         _conv(f"residual.conv{i}", f"residual.bn{i}",

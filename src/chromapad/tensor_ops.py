@@ -442,7 +442,9 @@ def softmax_last_axis(x) -> np.ndarray:
     within 1e-6.
     """
     e = np.array(x, np.float64)  # every pass runs in this one buffer
-    np.subtract(e, np.max(e, axis=-1, keepdims=True), out=e)
+    # a row holding inf turns to NaN here, which `model.forward` rejects
+    with np.errstate(invalid="ignore"):
+        np.subtract(e, np.max(e, axis=-1, keepdims=True), out=e)
     np.exp(e, out=e)
     # left-fold row sums: numpy reduces a contiguous leading axis in order
     total = np.add.reduce(np.moveaxis(e, -1, 0).copy(), axis=0)

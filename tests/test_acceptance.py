@@ -12,7 +12,6 @@ import numpy as np
 
 from chromapad.attention import (
     AttentionParams,
-    WindowAttentionConfig,
     expand_relative_bias,
     multi_head_window_attention,
     qkv_project,
@@ -93,24 +92,25 @@ def _random_attention_instance(rng):
     window = int(rng.integers(1, 5))            # N = window^2 <= 16
     heads = int(rng.integers(1, 5))
     head_dim = int(rng.integers(1, 32 // heads + 1))
-    cfg = WindowAttentionConfig(embed_dim=heads * head_dim, num_heads=heads,
-                                window=window)  # d <= 32
-    return cfg, _make_params_for(cfg, rng)
+    return _make_params_for(heads * head_dim, heads, window, rng)  # d <= 32
 
 
-def _naive_full_attention(tokens, params, cfg):
-    d, d_h = cfg.embed_dim, cfg.head_dim
+def _naive_full_attention(tokens, params, table):
+    """Float64 attention of one window, the bias read from ``table``
+    through `relative_index_map`."""
+    d, heads = params.embed_dim, params.num_heads
+    d_h = d // heads
     t = tokens.astype(np.float64)
     proj = t @ params.qkv_weight.T.astype(np.float64) + params.qkv_bias
-    idx = relative_index_map(cfg.window)
+    idx = relative_index_map(params.window)
     parts = []
-    for head in range(cfg.num_heads):
+    for head in range(heads):
         cols = slice(head * d_h, (head + 1) * d_h)
         q = proj[:, 0 * d:1 * d][:, cols]
         k = proj[:, 1 * d:2 * d][:, cols]
         v = proj[:, 2 * d:3 * d][:, cols]
         logits = q @ k.T / math.sqrt(d_h) \
-            + params.rel_bias_table.astype(np.float64)[head][idx]
+            + table.astype(np.float64)[head][idx]
         logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
@@ -124,22 +124,21 @@ def test_criterion_2_attention_oracle():
     start = time.monotonic()
     ok = True
     for _ in range(100):
-        cfg, params = _random_attention_instance(rng)
-        w, d = cfg.window, cfg.embed_dim
+        params, table = _random_attention_instance(rng)
+        w, d, heads = params.window, params.embed_dim, params.num_heads
         x = rng.standard_normal((w, w, d)).astype(np.float32)
-        got = multi_head_window_attention(x, params, cfg)
-        want = _naive_full_attention(x.reshape(w * w, d), params, cfg)
+        got = multi_head_window_attention(x, params)
+        want = _naive_full_attention(x.reshape(w * w, d), params, table)
         if np.max(np.abs(got.reshape(w * w, d) - want)) >= 1e-5:
             ok = False
             break
         # softmax rows of the real path sum to one
         from chromapad.tensor_ops import matmul, softmax_last_axis
 
-        q, k, _ = qkv_project(window_partition(x, w).reshape(-1, d),
-                              params, cfg)
-        bias = expand_relative_bias(params.rel_bias_table, w)
-        scale = np.float32(math.sqrt(cfg.head_dim))
-        for head in range(cfg.num_heads):
+        q, k, _ = qkv_project(window_partition(x, w).reshape(-1, d), params)
+        bias = params.rel_bias
+        scale = np.float32(math.sqrt(d // heads))
+        for head in range(heads):
             logits = matmul(q[head], np.ascontiguousarray(k[head].T)) / scale
             rows = softmax_last_axis(logits + bias[head])
             if np.max(np.abs(rows.astype(np.float64).sum(axis=1) - 1.0)) \
@@ -152,15 +151,14 @@ def test_criterion_2_attention_oracle():
     # window locality, bit-exact, on two-window maps
     for trial in range(5):
         heads = trial % 2 + 1
-        cfg = WindowAttentionConfig(embed_dim=4 * heads, num_heads=heads,
-                                    window=2)
-        params = _make_params_for(cfg, np.random.default_rng(60 + trial))
+        params, _ = _make_params_for(4 * heads, heads, 2,
+                                     np.random.default_rng(60 + trial))
         x = np.random.default_rng(70 + trial).standard_normal(
-            (2, 4, cfg.embed_dim)).astype(np.float32)
-        base = multi_head_window_attention(x, params, cfg)
+            (2, 4, 4 * heads)).astype(np.float32)
+        base = multi_head_window_attention(x, params)
         bumped = x.copy()
         bumped[:, :2, :] += 1.0
-        out = multi_head_window_attention(bumped, params, cfg)
+        out = multi_head_window_attention(bumped, params)
         if out[:, 2:].tobytes() != base[:, 2:].tobytes():
             ok = False
             break
@@ -168,18 +166,18 @@ def test_criterion_2_attention_oracle():
     _verdict(2, ok and elapsed < 10.0, f"{elapsed:.2f}s")
 
 
-def _make_params_for(cfg, rng):
-    d = cfg.embed_dim
-    return AttentionParams(
-        qkv_weight=(rng.standard_normal((3 * d, d)) / math.sqrt(d))
-        .astype(np.float32),
-        qkv_bias=(rng.standard_normal(3 * d) * 0.1).astype(np.float32),
-        out_weight=(rng.standard_normal((d, d)) / math.sqrt(d))
-        .astype(np.float32),
-        out_bias=(rng.standard_normal(d) * 0.1).astype(np.float32),
-        rel_bias_table=rng.standard_normal(
-            (cfg.num_heads, (2 * cfg.window - 1) ** 2)).astype(np.float32),
-    )
+def _make_params_for(d, heads, window, rng):
+    """Random `AttentionParams` and the bias table they expand."""
+    qkv_weight = (rng.standard_normal((3 * d, d)) / math.sqrt(d)) \
+        .astype(np.float32)
+    qkv_bias = (rng.standard_normal(3 * d) * 0.1).astype(np.float32)
+    out_weight = (rng.standard_normal((d, d)) / math.sqrt(d)) \
+        .astype(np.float32)
+    out_bias = (rng.standard_normal(d) * 0.1).astype(np.float32)
+    table = rng.standard_normal(
+        (heads, (2 * window - 1) ** 2)).astype(np.float32)
+    return AttentionParams(qkv_weight, qkv_bias, out_weight, out_bias,
+                           expand_relative_bias(table, window)), table
 
 
 def test_criterion_3_nested_residual_trace():
@@ -303,9 +301,7 @@ def test_criterion_5_complexity_oracle():
             d = heads * int(rng.integers(1, 4))
             window = int(rng.integers(1, 4))
             n_windows = int(rng.integers(0, 4))
-            cfg = WindowAttentionConfig(embed_dim=d, num_heads=heads,
-                                        window=window)
-            macs, _ = macs_window_attention(cfg, n_windows)
+            macs, _ = macs_window_attention(d, heads, window, n_windows)
             n = window * window
             count = 0
             for _w in range(n_windows):
@@ -352,7 +348,7 @@ def test_criterion_6_paper_preset_smoke(tmp_path):
     in_range = 0.0 <= score <= 1.0
     dims_ok = (cfg.embed_dim, cfg.num_heads, cfg.window) == (768, 24, 7) \
         and cfg.embed_dim // cfg.num_heads == 32 \
-        and cfg.attention_config.tokens_per_window == 49
+        and cfg.window ** 2 == 49
 
     plain_report = model_complexity(ModelConfig.paper(seed=99))
     dq_report = model_complexity(ModelConfig.paper(seed=99, dq_enabled=True))

@@ -10,8 +10,6 @@ import pytest
 
 from chromapad.attention import (
     AttentionParams,
-    PUBLISHED_ATTENTION,
-    WindowAttentionConfig,
     expand_relative_bias,
     multi_head_window_attention,
     qkv_project,
@@ -21,15 +19,14 @@ from chromapad.attention import (
     window_reverse,
 )
 from chromapad.errors import ConfigError, ShapeError
+from chromapad.model import ModelConfig
 from chromapad.tensor_ops import matmul
 
 
-def random_params(cfg, rng, zero_bias_table=False):
-    d = cfg.embed_dim
-    table = (np.zeros((cfg.num_heads, cfg.bias_table_size), np.float32)
-             if zero_bias_table else
-             rng.standard_normal((cfg.num_heads, cfg.bias_table_size))
-             .astype(np.float32))
+def random_params(d, heads, window, rng, zero_bias_table=False):
+    table_shape = (heads, (2 * window - 1) ** 2)
+    table = (np.zeros(table_shape, np.float32) if zero_bias_table else
+             rng.standard_normal(table_shape).astype(np.float32))
     return AttentionParams(
         qkv_weight=(rng.standard_normal((3 * d, d)) / math.sqrt(d))
         .astype(np.float32),
@@ -37,25 +34,35 @@ def random_params(cfg, rng, zero_bias_table=False):
         out_weight=(rng.standard_normal((d, d)) / math.sqrt(d))
         .astype(np.float32),
         out_bias=rng.standard_normal(d).astype(np.float32) * 0.1,
-        rel_bias_table=table,
+        rel_bias=expand_relative_bias(table, window),
     )
 
 
-def naive_full_attention(x_tokens, params, cfg):
+def zero_params(d, heads, window):
+    return AttentionParams(
+        qkv_weight=np.zeros((3 * d, d), np.float32),
+        qkv_bias=np.zeros(3 * d, np.float32),
+        out_weight=np.zeros((d, d), np.float32),
+        out_bias=np.zeros(d, np.float32),
+        rel_bias=np.zeros((heads, window ** 2, window ** 2), np.float32),
+    )
+
+
+def naive_full_attention(x_tokens, params):
     """Direct float64 evaluation over all N tokens of one window."""
-    d, heads, d_h = cfg.embed_dim, cfg.num_heads, cfg.head_dim
+    d, heads = params.embed_dim, params.num_heads
+    d_h = d // heads
     t = x_tokens.astype(np.float64)
     proj = t @ params.qkv_weight.T.astype(np.float64) \
         + params.qkv_bias.astype(np.float64)
-    idx = relative_index_map(cfg.window)
-    table = params.rel_bias_table.astype(np.float64)
+    bias = params.rel_bias.astype(np.float64)
     outputs = []
     for head in range(heads):
         cols = slice(head * d_h, (head + 1) * d_h)
         q = proj[:, 0 * d:1 * d][:, cols]
         k = proj[:, 1 * d:2 * d][:, cols]
         v = proj[:, 2 * d:3 * d][:, cols]
-        logits = q @ k.T / math.sqrt(d_h) + table[head][idx]
+        logits = q @ k.T / math.sqrt(d_h) + bias[head]
         logits -= logits.max(axis=1, keepdims=True)
         weights = np.exp(logits)
         weights /= weights.sum(axis=1, keepdims=True)
@@ -65,42 +72,45 @@ def naive_full_attention(x_tokens, params, cfg):
         + params.out_bias.astype(np.float64)
 
 
-def per_window_head_attention(x, params, cfg):
+def per_window_head_attention(x, params):
     """One 2-D attention call per (window, head), heads concatenated."""
     h, w, d = x.shape
-    wins = window_partition(x, cfg.window)
+    heads, window = params.num_heads, params.window
+    d_h = d // heads
+    wins = window_partition(x, window)
     n_windows, n_tokens, _ = wins.shape
-    bias = expand_relative_bias(params.rel_bias_table, cfg.window)
-    q, k, v = qkv_project(wins.reshape(-1, d), params, cfg)
-    shape = (cfg.num_heads, n_windows, n_tokens, cfg.head_dim)
+    q, k, v = qkv_project(wins.reshape(-1, d), params)
+    shape = (heads, n_windows, n_tokens, d_h)
     q, k, v = q.reshape(shape), k.reshape(shape), v.reshape(shape)
     out = np.empty((n_windows, n_tokens, d), np.float32)
     for wi in range(n_windows):
-        for head in range(cfg.num_heads):
-            cols = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+        for head in range(heads):
+            cols = slice(head * d_h, (head + 1) * d_h)
             out[wi, :, cols] = window_attention_head(
-                q[head, wi], k[head, wi], v[head, wi], bias[head])
+                q[head, wi], k[head, wi], v[head, wi], params.rel_bias[head])
     mixed = matmul(out.reshape(-1, d), np.ascontiguousarray(params.out_weight.T))
     mixed = mixed + params.out_bias
-    return window_reverse(mixed.reshape(n_windows, n_tokens, d), h, w,
-                          cfg.window)
+    return window_reverse(mixed.reshape(n_windows, n_tokens, d), h, w, window)
 
 
 class TestConfig:
     def test_paper_preset_dimensions(self):
-        assert PUBLISHED_ATTENTION.embed_dim == 768
-        assert PUBLISHED_ATTENTION.num_heads == 24
-        assert PUBLISHED_ATTENTION.head_dim == 32
-        assert PUBLISHED_ATTENTION.window == 7
-        assert PUBLISHED_ATTENTION.tokens_per_window == 49
+        cfg = ModelConfig.paper()
+        assert (cfg.embed_dim, cfg.num_heads, cfg.window) == (768, 24, 7)
+        params = zero_params(cfg.embed_dim, cfg.num_heads, cfg.window)
+        assert (params.embed_dim, params.num_heads, params.window) == \
+            (768, 24, 7)
+        assert params.embed_dim // params.num_heads == 32
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ConfigError):
-            WindowAttentionConfig(embed_dim=10, num_heads=3, window=2)
+        with pytest.raises(ConfigError, match="^rel_bias has 3 heads, which "
+                                              "do not divide embed_dim 10$"):
+            zero_params(10, 3, 2)
 
     def test_positivity(self):
-        with pytest.raises(ConfigError):
-            WindowAttentionConfig(embed_dim=0, num_heads=1, window=1)
+        for d, heads, window in (0, 1, 1), (2, 0, 1), (2, 1, 0):
+            with pytest.raises(ShapeError, match="with d >= 1$|N >= 1$"):
+                zero_params(d, heads, window)
 
 
 class TestRelativeIndexMap:
@@ -176,38 +186,29 @@ class TestPartition:
 
 class TestQkvProject:
     def test_zero_weights(self):
-        cfg = WindowAttentionConfig(embed_dim=4, num_heads=2, window=2)
-        params = AttentionParams(
-            qkv_weight=np.zeros((12, 4), np.float32),
-            qkv_bias=np.zeros(12, np.float32),
-            out_weight=np.zeros((4, 4), np.float32),
-            out_bias=np.zeros(4, np.float32),
-            rel_bias_table=np.zeros((2, 9), np.float32),
-        )
-        q, k, v = qkv_project(np.ones((4, 4), np.float32), params, cfg)
+        params = zero_params(4, 2, 2)
+        q, k, v = qkv_project(np.ones((4, 4), np.float32), params)
         assert np.all(q == 0) and np.all(k == 0) and np.all(v == 0)
 
     def test_stacked_identities(self):
-        cfg = WindowAttentionConfig(embed_dim=3, num_heads=1, window=2)
         eye = np.eye(3, dtype=np.float32)
         params = AttentionParams(
             qkv_weight=np.concatenate([eye, eye, eye], axis=0),
             qkv_bias=np.zeros(9, np.float32),
             out_weight=eye,
             out_bias=np.zeros(3, np.float32),
-            rel_bias_table=np.zeros((1, 9), np.float32),
+            rel_bias=np.zeros((1, 4, 4), np.float32),
         )
         x = np.random.default_rng(1).standard_normal((4, 3)).astype(np.float32)
-        q, k, v = qkv_project(x, params, cfg)
+        q, k, v = qkv_project(x, params)
         for part in (q, k, v):
             assert np.allclose(part[0], x, atol=1e-6)
 
     def test_random_instance_matches_direct_matmul(self):
-        cfg = WindowAttentionConfig(embed_dim=2, num_heads=1, window=2)
         rng = np.random.default_rng(2)
-        params = random_params(cfg, rng)
+        params = random_params(2, 1, 2, rng)
         x = rng.standard_normal((2, 2)).astype(np.float32)
-        q, k, v = qkv_project(x, params, cfg)
+        q, k, v = qkv_project(x, params)
         direct = x.astype(np.float64) @ params.qkv_weight.T.astype(np.float64) \
             + params.qkv_bias
         assert np.allclose(q[0], direct[:, 0:2], atol=1e-5)
@@ -215,11 +216,10 @@ class TestQkvProject:
         assert np.allclose(v[0], direct[:, 4:6], atol=1e-5)
 
     def test_head_split_is_contiguous(self):
-        cfg = WindowAttentionConfig(embed_dim=4, num_heads=2, window=1)
         rng = np.random.default_rng(3)
-        params = random_params(cfg, rng)
+        params = random_params(4, 2, 1, rng)
         x = rng.standard_normal((3, 4)).astype(np.float32)
-        q, _, _ = qkv_project(x, params, cfg)
+        q, _, _ = qkv_project(x, params)
         full = x.astype(np.float64) @ params.qkv_weight.T.astype(np.float64) \
             + params.qkv_bias
         assert np.allclose(q[0], full[:, 0:2], atol=1e-5)
@@ -234,18 +234,19 @@ def _wider(t):
     return np.concatenate([t, t[:, :1]], axis=1)
 
 
-def _nan_first(t):
-    t = t.copy()
-    t.flat[0] = np.nan
-    return t
+def _first_set_to(value):
+    def corrupt(t):
+        t = t.copy()
+        t.flat[0] = value
+        return t
+    return corrupt
 
 
-_PROJECT_CFG = WindowAttentionConfig(embed_dim=4, num_heads=2, window=2)
 _ENTRY_POINTS = {
     "qkv_project": lambda params: qkv_project(
-        np.zeros((4, 4), np.float32), params, _PROJECT_CFG),
+        np.zeros((4, 4), np.float32), params),
     "window_attention": lambda params: multi_head_window_attention(
-        np.zeros((2, 2, 4), np.float32), params, _PROJECT_CFG),
+        np.zeros((2, 2, 4), np.float32), params),
 }
 
 
@@ -253,39 +254,64 @@ _ENTRY_POINTS = {
 @pytest.mark.parametrize("name, corrupt, error, message", [
     *(pytest.param(name, _extra_row, ShapeError, f"^{name} has shape",
                    id=f"{name}-shape")
-      for name in ("qkv_weight", "qkv_bias", "out_weight", "out_bias",
-                   "rel_bias_table")),
+      for name in ("qkv_weight", "qkv_bias", "out_weight", "out_bias")),
+    # a bad (heads, (2w-1)^2) table, expanded as a model expands it
+    pytest.param("rel_bias_table", _extra_row, ConfigError,
+                 "^rel_bias has 3 heads, which do not divide embed_dim 4$",
+                 id="rel_bias_table-shape"),
     pytest.param("rel_bias_table", _wider, ShapeError,
-                 "^rel_bias_table has shape", id="rel_bias_table-width"),
-    pytest.param("rel_bias_table", _nan_first, ConfigError,
-                 "^rel_bias_table contains", id="rel_bias_table-nan"),
+                 r"^bias table shape \(2, 10\) does not match window 2$",
+                 id="rel_bias_table-width"),
+    pytest.param("rel_bias_table", _first_set_to(np.nan), ConfigError,
+                 "^rel_bias contains non-finite values$",
+                 id="rel_bias_table-nan"),
+    # a bad expansion given directly
+    pytest.param("rel_bias", lambda t: t[:, 1:], ShapeError,
+                 r"^rel_bias has shape \(2, 3, 4\), expected \(2, 4, 4\)$",
+                 id="rel_bias-shape"),
+    pytest.param("rel_bias", lambda t: np.zeros((2, 9), np.float32),
+                 ShapeError, r"^rel_bias has shape \(2, 9\), expected "
+                 r"\(heads, N, N\)", id="rel_bias-table"),
+    pytest.param("rel_bias", _extra_row, ConfigError,
+                 "^rel_bias has 3 heads, which do not divide embed_dim 4$",
+                 id="rel_bias-heads"),
+    pytest.param("rel_bias", lambda t: t[:, :3, :3], ShapeError,
+                 "^rel_bias has 3 tokens per window, which is not a square$",
+                 id="rel_bias-not_square"),
+    *(pytest.param("rel_bias", _first_set_to(value), ConfigError,
+                   "^rel_bias contains non-finite values$", id=f"rel_bias-{tag}")
+      for tag, value in (("inf", np.inf), ("neg_inf", -np.inf))),
 ])
 def test_invalid_params_rejected(entry, name, corrupt, error, message):
-    params = random_params(_PROJECT_CFG, np.random.default_rng(8))
-    bad = dataclasses.replace(params, **{name: corrupt(getattr(params, name))})
+    # every field is checked once, when the object is made: the entry point
+    # runs the object as drawn, and no object with a bad field exists
+    params = random_params(4, 2, 2, np.random.default_rng(8))
+    _ENTRY_POINTS[entry](params)
+    given = {f.name: getattr(params, f.name)
+             for f in dataclasses.fields(params)}
     with pytest.raises(error, match=message):
-        _ENTRY_POINTS[entry](bad)
+        if name == "rel_bias_table":
+            table = np.arange(18, dtype=np.float32).reshape(2, 9)
+            given["rel_bias"] = expand_relative_bias(corrupt(table), 2)
+        else:
+            given[name] = corrupt(given[name])
+        AttentionParams(**given)
 
 
 def test_expanded_bias_given_is_checked_and_used():
     # a model passes each table's expansion, made once; the given bias is
-    # what the call adds, and its shape is checked with the others
-    cfg = WindowAttentionConfig(embed_dim=8, num_heads=2, window=3)
-    params = random_params(cfg, np.random.default_rng(9))
+    # what the call adds, and its shape is checked when the object is made
+    params = random_params(8, 2, 3, np.random.default_rng(9))
     x = np.random.default_rng(10).standard_normal((6, 3, 8)).astype(
         np.float32)
-    expanded = expand_relative_bias(params.rel_bias_table, cfg.window)
-    want = multi_head_window_attention(x, params, cfg)
-    given = dataclasses.replace(params, rel_bias=expanded)
-    assert multi_head_window_attention(x, given, cfg).tobytes() == \
+    want = multi_head_window_attention(x, params)
+    assert want.tobytes() == per_window_head_attention(x, params).tobytes()
+    other = dataclasses.replace(params, rel_bias=params.rel_bias * 2)
+    assert multi_head_window_attention(x, other).tobytes() != \
         want.tobytes()
-    other = dataclasses.replace(params, rel_bias=expanded * np.float32(2))
-    assert multi_head_window_attention(x, other, cfg).tobytes() != \
-        want.tobytes()
-    bad = dataclasses.replace(params, rel_bias=expanded[:, :-1])
     with pytest.raises(ShapeError, match=r"^rel_bias has shape \(2, 8, 9\), "
                                          r"expected \(2, 9, 9\)$"):
-        multi_head_window_attention(x, bad, cfg)
+        dataclasses.replace(params, rel_bias=params.rel_bias[:, :-1])
 
 
 class TestAttentionHead:
@@ -331,26 +357,18 @@ class TestAttentionHead:
 
 class TestMultiHead:
     def test_zero_everything_gives_zero(self):
-        cfg = WindowAttentionConfig(embed_dim=4, num_heads=2, window=2)
-        params = AttentionParams(
-            qkv_weight=np.zeros((12, 4), np.float32),
-            qkv_bias=np.zeros(12, np.float32),
-            out_weight=np.zeros((4, 4), np.float32),
-            out_bias=np.zeros(4, np.float32),
-            rel_bias_table=np.zeros((2, 9), np.float32),
-        )
         x = np.zeros((4, 4, 4), np.float32)
-        assert np.all(multi_head_window_attention(x, params, cfg) == 0.0)
+        assert np.all(multi_head_window_attention(x, zero_params(4, 2, 2))
+                      == 0.0)
 
     def test_window_locality_bit_exact(self):
-        cfg = WindowAttentionConfig(embed_dim=6, num_heads=3, window=2)
         rng = np.random.default_rng(5)
-        params = random_params(cfg, rng)
+        params = random_params(6, 3, 2, rng)
         x = rng.standard_normal((4, 4, 6)).astype(np.float32)
-        base = multi_head_window_attention(x, params, cfg)
+        base = multi_head_window_attention(x, params)
         perturbed = x.copy()
         perturbed[:2, :2, :] += rng.standard_normal((2, 2, 6)).astype(np.float32)
-        out = multi_head_window_attention(perturbed, params, cfg)
+        out = multi_head_window_attention(perturbed, params)
         # window (0, 0) changed...
         assert not np.array_equal(out[:2, :2], base[:2, :2])
         # ...every other window is bit-identical
@@ -363,43 +381,38 @@ class TestMultiHead:
             w = int(rng.integers(1, 4))
             heads = int(rng.integers(1, 4))
             d = heads * int(rng.integers(1, 5))
-            cfg = WindowAttentionConfig(embed_dim=d, num_heads=heads, window=w)
-            params = random_params(cfg, rng)
+            params = random_params(d, heads, w, rng)
             x = rng.standard_normal((w, w, d)).astype(np.float32)
-            got = multi_head_window_attention(x, params, cfg)
-            want = naive_full_attention(x.reshape(w * w, d), params, cfg)
+            got = multi_head_window_attention(x, params)
+            want = naive_full_attention(x.reshape(w * w, d), params)
             assert np.max(np.abs(got.reshape(w * w, d) - want)) < 1e-5
         # a 14x14 map of four 7x7 windows, 3 heads, non-zero bias table:
         # each window against the oracle, the whole map bit-for-bit against
         # one attention call per (window, head)
-        cfg = WindowAttentionConfig(embed_dim=12, num_heads=3, window=7)
-        params = random_params(cfg, rng)
-        assert np.any(params.rel_bias_table != 0)
+        params = random_params(12, 3, 7, rng)
+        assert np.any(params.rel_bias != 0)
         x = rng.standard_normal((14, 14, 12)).astype(np.float32)
-        got = multi_head_window_attention(x, params, cfg)
-        assert got.tobytes() == per_window_head_attention(x, params, cfg) \
-            .tobytes()
+        got = multi_head_window_attention(x, params)
+        assert got.tobytes() == per_window_head_attention(x, params).tobytes()
         for r in (0, 7):
             for c in (0, 7):
                 tile = x[r:r + 7, c:c + 7].reshape(49, 12)
-                want = naive_full_attention(tile, params, cfg)
+                want = naive_full_attention(tile, params)
                 assert np.max(np.abs(
                     got[r:r + 7, c:c + 7].reshape(49, 12) - want)) < 1e-5
 
     def test_token_permutation_equivariance_with_zero_bias(self):
-        cfg = WindowAttentionConfig(embed_dim=4, num_heads=2, window=2)
         rng = np.random.default_rng(7)
-        params = random_params(cfg, rng, zero_bias_table=True)
+        params = random_params(4, 2, 2, rng, zero_bias_table=True)
         x = rng.standard_normal((2, 2, 4)).astype(np.float32)
         tokens = x.reshape(4, 4)
         perm = np.array([2, 0, 3, 1])
-        base = multi_head_window_attention(x, params, cfg).reshape(4, 4)
+        base = multi_head_window_attention(x, params).reshape(4, 4)
         permuted = multi_head_window_attention(
-            tokens[perm].reshape(2, 2, 4), params, cfg).reshape(4, 4)
+            tokens[perm].reshape(2, 2, 4), params).reshape(4, 4)
         assert np.allclose(permuted, base[perm], atol=1e-6)
 
     def test_bias_depends_only_on_offset(self):
-        cfg = WindowAttentionConfig(embed_dim=2, num_heads=2, window=3)
         rng = np.random.default_rng(8)
         table = rng.standard_normal((2, 25)).astype(np.float32)
         bias = expand_relative_bias(table, 3)
@@ -422,26 +435,24 @@ class TestMultiHead:
         assert idx.max() < table.shape[1]
 
     def test_rejects_non_divisible_extents(self):
-        cfg = WindowAttentionConfig(embed_dim=2, num_heads=1, window=3)
-        params = random_params(cfg, np.random.default_rng(10))
+        params = random_params(2, 1, 3, np.random.default_rng(10))
         with pytest.raises(ShapeError):
             multi_head_window_attention(np.zeros((4, 6, 2), np.float32),
-                                        params, cfg)
+                                        params)
 
     def test_attention_rows_sum_to_one_across_windows_and_heads(self):
         from chromapad.tensor_ops import matmul, softmax_last_axis
 
-        cfg = WindowAttentionConfig(embed_dim=6, num_heads=2, window=2)
         rng = np.random.default_rng(11)
-        params = random_params(cfg, rng)
+        params = random_params(6, 2, 2, rng)
         x = rng.standard_normal((4, 4, 6)).astype(np.float32)
         wins = window_partition(x, 2)
-        bias = expand_relative_bias(params.rel_bias_table, 2)
-        q, k, v = qkv_project(wins.reshape(-1, 6), params, cfg)
-        q = q.reshape(cfg.num_heads, 4, 4, cfg.head_dim)
-        k = k.reshape(cfg.num_heads, 4, 4, cfg.head_dim)
-        scale = np.float32(math.sqrt(cfg.head_dim))
-        for head in range(cfg.num_heads):
+        bias = params.rel_bias
+        q, k, v = qkv_project(wins.reshape(-1, 6), params)
+        q = q.reshape(2, 4, 4, 3)
+        k = k.reshape(2, 4, 4, 3)
+        scale = np.float32(math.sqrt(3))
+        for head in range(2):
             for wi in range(4):
                 logits = matmul(q[head, wi],
                                 np.ascontiguousarray(k[head, wi].T)) / scale
@@ -451,10 +462,11 @@ class TestMultiHead:
 
     def test_paper_preset_single_pass_under_five_seconds(self):
         rng = np.random.default_rng(12)
-        params = random_params(PUBLISHED_ATTENTION, rng)
+        cfg = ModelConfig.paper()
+        params = random_params(cfg.embed_dim, cfg.num_heads, cfg.window, rng)
         x = rng.standard_normal((7, 7, 768)).astype(np.float32)
         start = time.monotonic()
-        out = multi_head_window_attention(x, params, PUBLISHED_ATTENTION)
+        out = multi_head_window_attention(x, params)
         elapsed = time.monotonic() - start
         assert out.shape == (7, 7, 768)
         assert np.isfinite(out).all()

@@ -236,6 +236,50 @@ class TestInfer:
         assert rc == EXIT_DATA
         assert "width" in captured.err and "byte offset 3" in captured.err
 
+    @pytest.mark.parametrize("count", [1, 2], ids=("one_image", "two_images"))
+    def test_overflowing_forward_exits_2_without_a_nan_row(self, workspace,
+                                                           capsys, count):
+        # finite weights whose products overflow float32: the attention
+        # logits reach inf and the softmax NaN, so the image has no score;
+        # with two images and two CPUs the second is scored in a forked share
+        tensors = read_tensor_file(workspace["weights"])
+        tensors["branch.RGB.attention.qkv_weight"][...] = 3e38
+        bad = workspace["dir"] / "bad.cfpa"
+        write_tensor_file(tensors, bad)
+        image = str(workspace["images"][0])
+        out = workspace["dir"] / "out.csv"
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(bad), "--out", str(out),
+                   *["--image", image] * count])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert captured.err == (f"chromapad infer: {image}: bona fide "
+                                f"probability is nan: the forward pass "
+                                f"overflowed float32\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_image_error_names_the_image(self, workspace, capsys):
+        from chromapad.errors import ShapeError
+        from chromapad.model import load_weights, score_ppm_file
+
+        small = workspace["dir"] / "small.ppm"
+        small.write_bytes(to_ppm_bytes(ColorImage(
+            width=8, height=8, space=ColorSpace.RGB,
+            pixels=np.zeros((8, 8, 3), np.uint8))))
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(workspace["weights"]),
+                   "--image", str(workspace["images"][0]),
+                   "--image", str(small)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert captured.err == (f"chromapad infer: {small}: image is 8x8, "
+                                f"config wants 16x16\n")
+        assert captured.out == ""
+        # the error keeps its class
+        model = load_weights(workspace["weights"], workspace["cfg"])
+        with pytest.raises(ShapeError, match=f"^{small}: image is 8x8"):
+            score_ppm_file(model, small)
+
     def test_repeated_run_byte_identical(self, workspace):
         out1 = workspace["dir"] / "a.csv"
         out2 = workspace["dir"] / "b.csv"
@@ -686,6 +730,26 @@ class TestAblate:
         # "bona[1]" as a pattern would match only a directory "bona1"
         assert self.run_image_dirs(workspace, "bona[1]", "atk[*]") == EXIT_OK
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
+
+    def test_image_error_names_the_image(self, workspace, capsys):
+        for d, size in (("bona", 16), ("atk", 8)):
+            (workspace["dir"] / d).mkdir()
+            (workspace["dir"] / d / "x.ppm").write_bytes(to_ppm_bytes(
+                ColorImage(width=size, height=size, space=ColorSpace.RGB,
+                           pixels=np.zeros((size, size, 3), np.uint8))))
+        grid = workspace["dir"] / "grid.json"
+        grid.write_text(json.dumps(
+            [{"config": workspace["cfg"].to_json_dict(),
+              "bonafide_images": "bona", "attack_images": "atk"}]),
+            encoding="utf-8")
+        rc = main(["ablate", "--grid", str(grid),
+                   "--scores-dir", str(workspace["dir"])])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        small = workspace["dir"] / "atk" / "x.ppm"
+        assert captured.err == (f"chromapad ablate: {small}: image is 8x8, "
+                                f"config wants 16x16\n")
+        assert captured.out == ""
 
     def test_model_larger_than_memory_exits_2(self, workspace, capsys,
                                               monkeypatch):

@@ -22,7 +22,8 @@ from chromapad.colorspace import (
     rgb_to_ycbcr,
     to_ppm_bytes,
 )
-from chromapad.errors import PpmParseError, ShapeError, SpaceError
+from chromapad.errors import (ChromapadError, PpmParseError, ShapeError,
+                              SpaceError)
 
 
 def _round_half_away(x):
@@ -247,3 +248,26 @@ def test_image_invariants():
     with pytest.raises(ShapeError):
         ColorImage(width=0, height=1, space=ColorSpace.RGB,
                    pixels=np.zeros((1, 0, 3), np.uint8))
+
+
+@pytest.mark.parametrize("value", [300, -1, 1.7, np.nan, np.inf, 256.0],
+                         ids=("300", "minus_1", "1.7", "nan", "inf", "256.0"))
+def test_pixels_outside_uint8_rejected(value):
+    # a pixel array of another dtype must hold integers in [0, 255]: none
+    # wraps (300 -> 44, -1 -> 255) or truncates (1.7 -> 1) silently
+    pixels = np.full((1, 2, 3), 7, np.asarray(value).dtype)
+    pixels[0, 1, 2] = value
+    with pytest.raises(ChromapadError,
+                       match=r"^pixels must be integers in \[0, 255\]$"):
+        ColorImage(width=2, height=1, space=ColorSpace.RGB, pixels=pixels)
+
+
+def test_integral_pixels_of_any_dtype_accepted():
+    want = np.array([[[0, 1, 2], [253, 254, 255]]], np.uint8)
+    for dtype in (np.int64, np.uint16, np.float64, np.float32):
+        img = ColorImage(width=2, height=1, space=ColorSpace.RGB,
+                         pixels=want.astype(dtype))
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tobytes() == want.tobytes()
+    # uint8 pixels are taken as they are, not copied
+    assert ColorImage(2, 1, ColorSpace.RGB, want).pixels is want

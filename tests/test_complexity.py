@@ -16,7 +16,6 @@ from chromapad.complexity import (
 )
 from chromapad import attention, blocks
 from chromapad import model as M
-from chromapad.attention import WindowAttentionConfig
 from chromapad.colorspace import ColorImage, ColorSpace
 from chromapad.errors import ConfigError
 from chromapad.model import (ModelConfig, build_model, forward,
@@ -48,9 +47,8 @@ def count_linear_multiplies(d_in, d_out, tokens):
     return count
 
 
-def count_attention_multiplies(cfg, n_windows):
-    n, d, heads, d_h = (cfg.tokens_per_window, cfg.embed_dim,
-                        cfg.num_heads, cfg.head_dim)
+def count_attention_multiplies(d, heads, window, n_windows):
+    n, d_h = window * window, d // heads
     count = 0
     for _w in range(n_windows):
         count += count_linear_multiplies(d, 3 * d, n)     # QKV projection
@@ -114,20 +112,17 @@ class TestLinearCounter:
 
 class TestAttentionCounter:
     def test_scalar_case(self):
-        cfg = WindowAttentionConfig(embed_dim=1, num_heads=1, window=1)
-        macs, _ = macs_window_attention(cfg, 1)
+        macs, _ = macs_window_attention(1, 1, 1, 1)
         assert macs == 6  # 3 (qkv) + 2 (logit + value) + 1 (mix)
 
     def test_linearity_in_windows(self):
-        cfg = WindowAttentionConfig(embed_dim=8, num_heads=2, window=2)
-        one, params1 = macs_window_attention(cfg, 1)
-        two, params2 = macs_window_attention(cfg, 2)
+        one, params1 = macs_window_attention(8, 2, 2, 1)
+        two, params2 = macs_window_attention(8, 2, 2, 2)
         assert two == 2 * one
         assert params1 == params2
 
     def test_published_preset_closed_form(self):
-        cfg = WindowAttentionConfig(embed_dim=768, num_heads=24, window=7)
-        macs, params = macs_window_attention(cfg, 4)
+        macs, params = macs_window_attention(768, 24, 7, 4)
         n, d = 49, 768
         assert macs == 4 * (3 * n * d * d + 2 * n * n * d + n * d * d)
         assert params == 3 * d * d + 3 * d + d * d + d + 24 * 169
@@ -139,9 +134,16 @@ class TestAttentionCounter:
             d = heads * int(rng.integers(1, 4))
             w = int(rng.integers(1, 4))
             n_windows = int(rng.integers(0, 4))
-            cfg = WindowAttentionConfig(embed_dim=d, num_heads=heads, window=w)
-            macs, _ = macs_window_attention(cfg, n_windows)
-            assert macs == count_attention_multiplies(cfg, n_windows)
+            macs, _ = macs_window_attention(d, heads, w, n_windows)
+            assert macs == count_attention_multiplies(d, heads, w, n_windows)
+
+    def test_non_positive_dimensions_rejected(self):
+        for dims in (0, 1, 1), (1, 0, 1), (1, 1, 0):
+            with pytest.raises(ConfigError, match="dimensions must be "
+                                                  "positive"):
+                macs_window_attention(*dims, 1)
+        with pytest.raises(ConfigError, match="n_windows"):
+            macs_window_attention(1, 1, 1, -1)
 
 
 class TestGmacsDisplay:

@@ -16,6 +16,7 @@ import pytest
 
 from chromapad.attention import (
     AttentionParams,
+    expand_relative_bias,
     multi_head_window_attention,
 )
 from chromapad.blocks import (
@@ -420,8 +421,9 @@ class TestForward:
             qkv_bias=w[f"{base}.qkv_bias"],
             out_weight=w[f"{base}.out_weight"],
             out_bias=w[f"{base}.out_bias"],
-            rel_bias_table=w[f"{base}.rel_bias_table"],
-        ), cfg.attention_config)
+            rel_bias=expand_relative_bias(w[f"{base}.rel_bias_table"],
+                                          cfg.window),
+        ))
         fused = fuse_branches([tokens], w["fusion.mix_weight"],
                               w["fusion.mix_bias"])
         out, _ = nested_residual_forward(fused, NestedResidualParams(
@@ -1040,7 +1042,7 @@ _ARRAY_HOLDERS = {
     "Model": lambda: build_model(small_config()),
     "AttentionParams": lambda: AttentionParams(*(
         np.zeros(shape, np.float32)
-        for shape in ((6, 2), (6,), (2, 2), (2,), (1, 9)))),
+        for shape in ((6, 2), (6,), (2, 2), (2,), (1, 4, 4)))),
     "BackboneBlockParams": _block,
     "BackboneParams": lambda: BackboneParams((_block(),)),
     "NestedResidualParams": lambda: NestedResidualParams(
