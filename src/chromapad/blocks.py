@@ -103,15 +103,16 @@ def bottleneck_project(features, weight, bias=None) -> np.ndarray:
 def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
     """Elementwise-sum (H, W, d) branch token maps, then mix channels.
 
-    The per-element addends are summed in ascending order of value (a sort
-    beyond three branches), so the result is bit-identical under any
-    permutation of the branches.
+    One to three branches, one per color space; the per-element addends
+    are summed in ascending order of value, so the result is bit-identical
+    under any permutation of the branches.
     The mix is a 1x1 convolution with the (d, d) weight; the result is the
     (d, H, W) channel map.
     """
     branches = [np.asarray(b, np.float32) for b in branches]
-    if not branches:
-        raise ShapeError("fuse_branches needs at least one branch")
+    if not 1 <= len(branches) <= 3:
+        raise ShapeError(f"fuse_branches takes 1 to 3 branches, "
+                         f"got {len(branches)}")
     shape = branches[0].shape
     if len(shape) != 3:
         raise ShapeError(f"branch token maps must be (H, W, d), got {shape}")
@@ -129,18 +130,13 @@ def fuse_branches(branches, mix_weight, mix_bias=None) -> np.ndarray:
         total = branches[0]
     elif len(branches) == 2:  # IEEE addition commutes
         total = branches[0] + branches[1]
-    elif len(branches) == 3:
+    else:
         # a min/max network: the two smaller addends (in either order), then
         # the largest. A -0.0/+0.0 tie may leave an all-zero total either
         # sign, which the mix, starting every sum at +0.0, never shows
         a, b, c = branches
         hi = np.maximum(a, b)
         total = (np.minimum(a, b) + np.minimum(hi, c)) + np.maximum(hi, c)
-    else:
-        stacked = np.sort(np.stack(branches, axis=0), axis=0)
-        total = stacked[0]
-        for i in range(1, len(branches)):
-            total = total + stacked[i]
     return conv2d(np.transpose(total, (2, 0, 1)),
                   mix_weight.reshape(d, d, 1, 1), bias=mix_bias)
 

@@ -143,16 +143,15 @@ def rgb_to_hsv(img: ColorImage) -> ColorImage:
     g = img.pixels[..., 1].astype(np.float64)
     b = img.pixels[..., 2].astype(np.float64)
     maxc = np.maximum(np.maximum(r, g), b)
-    minc = np.minimum(np.minimum(r, g), b)
-    delta = maxc - minc
-    safe = np.where(delta == 0, 1.0, delta)
-    hue_r = 60.0 * (((g - b) / safe) % 6.0)
-    hue_g = 60.0 * ((b - r) / safe + 2.0)
-    hue_b = 60.0 * ((r - g) / safe + 4.0)
-    hue_deg = np.select(
-        [delta == 0, maxc == r, maxc == g], [0.0, hue_r, hue_g], default=hue_b
-    )
-    sat = np.where(maxc == 0, 0.0, delta / np.where(maxc == 0, 1.0, maxc))
+    delta = maxc - np.minimum(np.minimum(r, g), b)
+    is_r, is_g = maxc == r, maxc == g
+    # one sector formula, 60 * (x + offset): in the R sector x % 6.0 for x
+    # in [-1, 1] is x, or x + 6.0 rounded once, so its offset is 0 or 6. A
+    # grey pixel lands in the R sector with x = 0 and offset 0: hue 0
+    num = np.where(is_r, g - b, np.where(is_g, b - r, r - g))
+    off = np.where(is_r, np.where(g < b, 6.0, 0.0), np.where(is_g, 2.0, 4.0))
+    hue_deg = 60.0 * (num / np.maximum(delta, 1.0) + off)
+    sat = delta / np.maximum(maxc, 1.0)
     h8 = _round_half_away(hue_deg * (255.0 / 360.0))
     s8 = _round_half_away(sat * 255.0)
     out = np.stack([h8, s8, maxc], axis=-1)

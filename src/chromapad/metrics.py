@@ -21,6 +21,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,24 +32,40 @@ DET_CSV_HEADER = ("threshold", "apcer", "bpcer")
 _APCER_CAPS = (0.05, 0.10)  # default operating points of every report
 # scores of this magnitude or more are rejected: a sentinel would overflow
 _SCORE_BOUND = 2.0 ** 1023
+_DET_ROW = "%.10g,%.10g,%.10g\n"
+_DET_CHUNK_ROWS = 8192  # rows per format call: bounds the temporaries
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """Labeled score lists; both non-empty, every magnitude below 2**1023."""
+    """Labeled score lists; both non-empty, every magnitude below 2**1023.
+
+    The set holds read-only float64 copies of its lists, so its DET sweep,
+    computed on first use, never goes stale.
+    """
 
     bonafide: np.ndarray
     attack: np.ndarray
 
     def __post_init__(self):
         for name in ("bonafide", "attack"):
-            arr = np.asarray(getattr(self, name), np.float64).reshape(-1)
+            arr = np.array(getattr(self, name), np.float64).reshape(-1)
             if arr.size == 0:
                 raise ConfigError(f"score set has no {name} scores")
             if not (np.abs(arr) < _SCORE_BOUND).all():  # NaN compares False
                 raise ConfigError(f"{name} scores contain non-finite values "
                                   f"or magnitudes of 2**1023 or more")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def sweep(self):
+        """Read-only (taus, apcer, bpcer) float64 arrays of the DET sweep,
+        computed once per set; see `det_curve`."""
+        arrays = _sweep(self)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -69,7 +86,8 @@ def bpcer_at(s: ScoreSet, tau: float) -> float:
 
 
 def _sweep(s: ScoreSet):
-    """(taus, apcer, bpcer) float64 arrays of the DET sweep; see `det_curve`."""
+    """(taus, apcer, bpcer) float64 arrays of the DET sweep; read it through
+    the cached `ScoreSet.sweep`."""
     uniq = np.unique(np.concatenate([s.bonafide, s.attack]))
     lo, hi = uniq[0], uniq[-1]
     taus = np.concatenate([[lo - 1.0 if lo - 1.0 < lo else lo - abs(lo) / 2],
@@ -92,12 +110,13 @@ def det_curve(s: ScoreSet):
     APCER is non-increasing and BPCER non-decreasing along the sweep.
     """
     return [DetPoint(threshold=t, apcer=a, bpcer=b)
-            for t, a, b in zip(*(arr.tolist() for arr in _sweep(s)))]
+            for t, a, b in zip(*(arr.tolist() for arr in s.sweep))]
 
 
 def _operating_point(sweep, alpha=None):
     """(rate, threshold) of the EER (``alpha`` None) or of the minimum BPCER
-    with APCER <= ``alpha`` over a `_sweep`, ties to the smaller threshold.
+    with APCER <= ``alpha`` over a `ScoreSet.sweep`, ties to the smaller
+    threshold.
 
     Read by index (see the module docstring): the points with APCER <= alpha
     form a suffix of the sweep, and BPCER is smallest at its first index.
@@ -118,7 +137,7 @@ def eer(s: ScoreSet):
     Picks the threshold minimizing |APCER - BPCER| (smallest threshold on
     ties) and reports the midpoint of the two rates there.
     """
-    return _operating_point(_sweep(s))
+    return _operating_point(s.sweep)
 
 
 def bpcer_at_apcer(s: ScoreSet, alpha: float):
@@ -128,7 +147,7 @@ def bpcer_at_apcer(s: ScoreSet, alpha: float):
     minimum always exists; the smallest qualifying threshold achieving it
     is reported.
     """
-    return _operating_point(_sweep(s), alpha)
+    return _operating_point(s.sweep, alpha)
 
 
 def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
@@ -150,9 +169,9 @@ def synth_scores(mu_bonafide: float, mu_attack: float, sigma: float,
 
 
 def evaluate_scores(s: ScoreSet, alphas=_APCER_CAPS):
-    """EER, its threshold, and BPCER at each APCER cap, from one DET sweep;
-    two caps that render as one key are a ConfigError."""
-    sweep = _sweep(s)
+    """EER, its threshold, and BPCER at each APCER cap, from the set's DET
+    sweep; two caps that render as one key are a ConfigError."""
+    sweep = s.sweep
     rate, tau = _operating_point(sweep)
     bpcer_block, caps = {}, {}
     for alpha in alphas:
@@ -216,7 +235,7 @@ def _read_score_rows(reader) -> ScoreSet:
         raise ScoreCsvError("no bonafide rows", reader.line_num)
     if not attack:
         raise ScoreCsvError("no attack rows", reader.line_num)
-    return ScoreSet(bonafide=np.array(bona), attack=np.array(attack))
+    return ScoreSet(bonafide=bona, attack=attack)
 
 
 def write_scores_csv(s: ScoreSet) -> str:
@@ -226,18 +245,25 @@ def write_scores_csv(s: ScoreSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _det_csv_text(rows) -> str:
-    lines = [",".join(DET_CSV_HEADER)]
-    lines += map("%.10g,%.10g,%.10g".__mod__, rows)
-    return "\n".join(lines) + "\n"
+def _det_csv_text(taus, apcer, bpcer) -> str:
+    """The DET CSV of three equal-length columns: each chunk of rows is one
+    ``%`` over a repeated row format, so no Python call runs per row."""
+    parts = [",".join(DET_CSV_HEADER) + "\n"]
+    for i in range(0, len(taus), _DET_CHUNK_ROWS):
+        chunk = slice(i, i + _DET_CHUNK_ROWS)
+        rows = np.stack((taus[chunk], apcer[chunk], bpcer[chunk]), axis=1)
+        parts.append(_DET_ROW * len(rows) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def write_det_csv(points) -> str:
     """``threshold,apcer,bpcer`` CSV text of `DetPoint`s, one row each."""
-    return _det_csv_text((p.threshold, p.apcer, p.bpcer) for p in points)
+    rows = np.array([(p.threshold, p.apcer, p.bpcer) for p in points],
+                    np.float64).reshape(-1, 3)
+    return _det_csv_text(*rows.T)
 
 
 def det_csv(s: ScoreSet) -> str:
     """The DET sweep of ``s`` as CSV text, byte-for-byte
     ``write_det_csv(det_curve(s))`` without building the points."""
-    return _det_csv_text(zip(*(arr.tolist() for arr in _sweep(s))))
+    return _det_csv_text(*s.sweep)

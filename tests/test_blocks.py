@@ -179,12 +179,17 @@ class TestFusion:
 
     @pytest.mark.parametrize("count", [2, 3, 4])
     def test_tied_maps_match_sorted_fold(self, count):
-        # small-integer draws tie often; a dense mix and bias
+        # small-integer draws tie often; a dense mix and bias. There are
+        # three color spaces, so four branches are rejected
         rng = np.random.default_rng(count)
         branches = [(rng.integers(-2, 3, (5, 6, 4)) * 0.75).astype(np.float32)
                     for _ in range(count)]
         mix = rng.standard_normal((4, 4)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
+        if count > 3:
+            with pytest.raises(ShapeError, match="got 4"):
+                fuse_branches(branches, mix, bias)
+            return
         addends = np.sort(np.stack(branches), axis=0)
         total = addends[0]
         for addend in addends[1:]:

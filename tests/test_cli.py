@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chromapad import metrics
 from chromapad.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from chromapad.colorspace import ColorImage, ColorSpace, to_ppm_bytes
 from chromapad.complexity import model_complexity
@@ -318,6 +319,19 @@ class TestEval:
         assert lines[0] == "threshold,apcer,bpcer"
         assert len(lines) == 1 + len(det_curve(scores))
         assert det_path.read_text("utf-8") == write_det_csv(det_curve(scores))
+
+    def test_report_and_det_export_share_one_sweep(self, workspace,
+                                                   monkeypatch):
+        calls = []
+        sweep = metrics._sweep
+        monkeypatch.setattr(metrics, "_sweep",
+                            lambda s: calls.append(s) or sweep(s))
+        rc = main(["eval", "--scores", str(workspace["scores"]),
+                   "--apcer", "0.05", "--apcer", "0.2",
+                   "--det", str(workspace["dir"] / "det.csv"),
+                   "--out", str(workspace["dir"] / "report.json")])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rows, n_unique", [
         ("bonafide,0\nattack,1e20\n", 2),

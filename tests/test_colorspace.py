@@ -210,6 +210,40 @@ def test_conversions_match_reference_over_many_random_pixels():
             assert tuple(ycc[i, j]) == ref_ycbcr(r, g, b)
 
 
+def select_hsv(px):
+    """The vectorized hexcone formula that preceded the one-sector form:
+    three full hue arrays, chosen by `np.select`."""
+    r, g, b = (px[..., i].astype(np.float64) for i in range(3))
+    maxc = np.maximum(np.maximum(r, g), b)
+    delta = maxc - np.minimum(np.minimum(r, g), b)
+    safe = np.where(delta == 0, 1.0, delta)
+    hue_r = 60.0 * (((g - b) / safe) % 6.0)
+    hue_g = 60.0 * ((b - r) / safe + 2.0)
+    hue_b = 60.0 * ((r - g) / safe + 4.0)
+    hue_deg = np.select(
+        [delta == 0, maxc == r, maxc == g], [0.0, hue_r, hue_g], default=hue_b
+    )
+    sat = np.where(maxc == 0, 0.0, delta / np.where(maxc == 0, 1.0, maxc))
+    out = np.stack([hue_deg * (255.0 / 360.0), sat * 255.0], axis=-1)
+    out = np.sign(out) * np.floor(np.abs(out) + 0.5)  # half away from zero
+    out = np.concatenate([out, maxc[..., None]], axis=-1)
+    return np.clip(out, 0, 255).astype(np.uint8)
+
+
+def test_hsv_matches_select_formula_on_every_color():
+    # all 2**24 colors, four red levels (262144 pixels) per image
+    gb = np.stack(np.meshgrid(np.arange(256), np.arange(256), indexing="ij"),
+                  axis=-1).reshape(256, 256, 2).astype(np.uint8)
+    for r0 in range(0, 256, 4):
+        px = np.empty((4, 256, 256, 3), np.uint8)
+        px[..., 0] = np.arange(r0, r0 + 4, dtype=np.uint8)[:, None, None]
+        px[..., 1:] = gb
+        px = px.reshape(1024, 256, 3)
+        got = rgb_to_hsv(make_image(px)).pixels
+        want = select_hsv(px)
+        assert got.tobytes() == want.tobytes(), r0
+
+
 class TestImageToTensor:
     def test_zero_image(self):
         t = image_to_tensor(make_image(np.zeros((2, 2, 3), np.uint8)))

@@ -1,12 +1,15 @@
 """PAD metric tests against a brute-force threshold enumeration oracle."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from chromapad import metrics
 from chromapad.errors import ConfigError, ScoreCsvError
 from chromapad.metrics import (
+    DetPoint,
     ScoreSet,
     apcer_at,
     bpcer_at,
@@ -51,6 +54,13 @@ def brute_force_bpcer_at(bonafide, attack, alpha):
             if best is None or key < best[0]:
                 best = (key, bpcer, tau)
     return best[1], best[2]
+
+
+def det_export_oracle(points):
+    """DET CSV text of points from f-string rows, the original formatter."""
+    return "threshold,apcer,bpcer\n" + "".join(
+        f"{p.threshold:.10g},{p.apcer:.10g},{p.bpcer:.10g}\n"
+        for p in points)
 
 
 def score_lists(rng, n_max, ties):
@@ -308,16 +318,104 @@ class TestCsv:
         assert len(lines) == 1 + len(det_curve(s))
 
     def test_det_csv_bytes_match_point_export(self):
-        # the f-string rows are the original point formatter
         rng = np.random.default_rng(17)
         for scale in (1e-300, 1e-3, 1.0, 1e17, 1e300):
             s = ScoreSet(bonafide=rng.standard_normal(300) * scale,
                          attack=np.round(rng.standard_normal(300), 1) * scale)
-            oracle = "threshold,apcer,bpcer\n" + "".join(
-                f"{p.threshold:.10g},{p.apcer:.10g},{p.bpcer:.10g}\n"
-                for p in det_curve(s))
-            assert write_det_csv(det_curve(s)) == oracle
-            assert det_csv(s) == oracle
+            want = det_export_oracle(det_curve(s))
+            assert write_det_csv(det_curve(s)) == want
+            assert det_csv(s) == want
+            assert write_det_csv(p for p in det_curve(s)) == want
+        one = [DetPoint(threshold=-0.0, apcer=1 / 3, bpcer=1e-300)]
+        assert write_det_csv(one) == det_export_oracle(one)
+        assert (write_det_csv([]) == det_export_oracle([])
+                == "threshold,apcer,bpcer\n")
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 301, 302])
+    def test_det_csv_chunk_seams(self, monkeypatch, rows_per_chunk):
+        # a sweep of 302 rows renders the same bytes whatever its chunks
+        s = synth_scores(1.0, 0.0, 0.5, 150, seed=4)
+        want = det_export_oracle(det_curve(s))
+        monkeypatch.setattr(metrics, "_DET_CHUNK_ROWS", rows_per_chunk)
+        assert det_csv(s) == want
+        assert write_det_csv(det_curve(s)) == want
+
+
+def _eval_bulk_like():
+    # six decimals, as eval_bulk's score file: ties within and across labels
+    rng = np.random.default_rng(2026)
+    return (np.round(rng.beta(5.0, 2.0, 20000), 6),
+            np.round(rng.beta(2.0, 5.0, 20000), 6))
+
+
+def _scaled(scale):
+    rng = np.random.default_rng(5)
+    return (rng.standard_normal(300) * scale,
+            np.round(rng.standard_normal(300), 1) * scale)
+
+
+# SHA-256 of det_csv over seeded sets, taken from the per-row formatter
+# that preceded the chunked one, so a renderer fault shows even where a
+# test compares two exports sharing the renderer
+DET_CSV_PINS = {
+    "eval_bulk_like": (
+        _eval_bulk_like,
+        "9cca8e35d6dc0b251ad697d200dd0c8dd640e3d8521565a28b0743e907224ed0"),
+    "signed_zeros": (
+        lambda: ([0.0, -0.0, 0.25, -0.0], [-0.0, 0.0, -0.25]),
+        "9bea93d8a889e64f8123cde980d2c6026c77a1a11ec9b4e8c0a9c01dc0853bbd"),
+    "negative_zero": (
+        lambda: ([-0.0, 0.25], [-0.0, -0.25]),
+        "1d0861e69df78b56fde43c9586aff16bd25ba5615e4b57169ac854e400db5ac1"),
+    # |extreme| beyond 2**53: each sentinel sits |extreme| / 2 out
+    "half_extreme_sentinels": (
+        lambda: ([1.75 * 2.0 ** 1022, 2.0 ** 1022, 0.5],
+                 [-1.5 * 2.0 ** 1022, -(2.0 ** 1022), 1.0]),
+        "00004991029424b40692656ff7d75cd353d381e58ae611d45b2f599034e50bb6"),
+    "tiny_1e-300": (
+        lambda: _scaled(1e-300),
+        "fc1f8a6409bd6377818ea2e20cddd011fa48daf92a8e80726ddd979978e1cdcf"),
+    "huge_1e300": (
+        lambda: _scaled(1e300),
+        "c014917e3c8fb98a163aee676913a70e18bc9109c978544c8ef7c948f9ce9c96"),
+}
+
+
+@pytest.mark.parametrize("name", DET_CSV_PINS)
+def test_det_csv_bytes_pinned(name):
+    make, digest = DET_CSV_PINS[name]
+    bona, attack = make()
+    text = det_csv(ScoreSet(bonafide=bona, attack=attack))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+class TestSweepOnce:
+    def test_caller_array_stays_writable_and_sweep_fixed(self):
+        bona = np.array([0.9, 0.8, 0.4])
+        attack = np.array([0.1, 0.5])
+        s = ScoreSet(bonafide=bona, attack=attack)
+        before = det_csv(s)
+        bona[:] = -5.0  # the caller's array is theirs to write
+        attack[0] = 7.0
+        assert det_csv(s) == before
+        assert s.bonafide.tolist() == [0.9, 0.8, 0.4]
+        with pytest.raises(ValueError):
+            s.bonafide[0] = 0.0
+        with pytest.raises(ValueError):
+            s.sweep[1][0] = 0.0
+
+    def test_readers_share_one_sweep(self, monkeypatch):
+        calls = []
+        sweep = metrics._sweep
+        monkeypatch.setattr(metrics, "_sweep",
+                            lambda s: calls.append(s) or sweep(s))
+        s = synth_scores(1.0, 0.0, 0.5, 50, seed=2)
+        evaluate_scores(s)
+        eer(s)
+        bpcer_at_apcer(s, 0.05)
+        det_curve(s)
+        det_csv(s)
+        assert calls == [s]
 
 
 def test_evaluate_scores_block():
