@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import glob
+import io
 import json
 import os
 import sys
@@ -110,8 +112,10 @@ def _cmd_infer(args):
     # through this module's name, which perfbench/tracing.py wraps
     scores = score_in_shares(
         partial(score_ppm_file, model, forward=forward_ppm), args.image)
-    _emit("".join(f"{path},{value:.10g}\n"
-                  for path, value in zip(args.image, scores)), args.out)
+    rows = io.StringIO()
+    csv.writer(rows, lineterminator="\n").writerows(
+        (path, f"{value:.10g}") for path, value in zip(args.image, scores))
+    _emit(rows.getvalue(), args.out)
     return EXIT_OK
 
 

@@ -356,10 +356,6 @@ class Model:
                     f"tensor {name!r} has shape {value.shape}, config "
                     f"expects {shapes[name]}")
             if isinstance(value, QuantizedTensor):
-                p = value.params
-                if not all(map(math.isfinite, (p.f_min, p.f_max, p.scale))):
-                    raise WeightFileError(f"tensor {name!r} has non-finite "
-                                          f"quantization parameters")
                 value.qdata.flags.writeable = False
                 low, high = dequantized_range(value)
             else:

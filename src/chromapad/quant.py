@@ -58,7 +58,21 @@ DEFAULT_POLICY = (
 
 
 def _round_half_away(x):
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """``x``, a float64 array, rounded half away from zero in place."""
+    sign = np.sign(x)
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    x *= sign
+    return x
+
+
+def _reconstruct(x, params):
+    """(x + 128) * S + f_min of the float64 codes ``x``, in place."""
+    x += 128.0
+    x *= params.scale
+    x += params.f_min
+    return x
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,10 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
+        for name in ("f_min", "f_max", "scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise QuantizationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.f_min > self.f_max:
             raise QuantizationError(
                 f"f_min {self.f_min} exceeds f_max {self.f_max}"
@@ -114,7 +132,7 @@ def compute_quant_params(f) -> QuantParams:
     # a constant tensor, or a span too small for a nonzero float32 scale
     # (a few subnormals wide), takes scale 1
     scale = float(np.float32((f_max - f_min) / 255.0)) or 1.0
-    zero_point = int(_round_half_away(-f_min / scale)) - 128
+    zero_point = int(_round_half_away(np.array(-f_min / scale))) - 128
     return QuantParams(f_min=f_min, f_max=f_max, scale=scale,
                        zero_point=zero_point)
 
@@ -141,12 +159,7 @@ def quantize(f, params: QuantParams) -> QuantizedTensor:
     for x, out in _pieces(arr, q):
         x -= params.f_min
         x /= params.scale
-        # `_round_half_away` in place: the sign is the only other buffer
-        sign = np.sign(x)
-        np.abs(x, out=x)
-        x += 0.5
-        np.floor(x, out=x)
-        x *= sign
+        _round_half_away(x)
         x -= 128.0
         out[...] = np.clip(x, -128, 127, out=x)
     return QuantizedTensor(qdata=q, params=params)
@@ -160,11 +173,7 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     stated; the kernels take `dequantize_f32`, which rounds the same values
     to float32 piece by piece.
     """
-    out = qt.qdata.astype(np.float64)
-    out += 128.0
-    out *= qt.params.scale
-    out += qt.params.f_min
-    return out
+    return _reconstruct(qt.qdata.astype(np.float64), qt.params)
 
 
 def dequantize_f32(qt: QuantizedTensor) -> np.ndarray:
@@ -173,10 +182,7 @@ def dequantize_f32(qt: QuantizedTensor) -> np.ndarray:
     layout of the codes."""
     out = np.empty_like(qt.qdata, np.float32)
     for x, dst in _pieces(qt.qdata, out):
-        x += 128.0
-        x *= qt.params.scale
-        x += qt.params.f_min
-        dst[...] = x
+        dst[...] = _reconstruct(x, qt.params)
     return out
 
 
@@ -186,9 +192,9 @@ def dequantized_range(qt: QuantizedTensor):
     its rounding to float32 never decrease as q grows, so the extremes are
     finite exactly when every value is. A value past the float32 range is
     returned as an infinity, without an overflow warning."""
-    ends = np.array([qt.qdata.min(), qt.qdata.max()], np.int8)
+    ends = np.array([qt.qdata.min(), qt.qdata.max()], np.float64)
     with np.errstate(over="ignore"):
-        low, high = dequantize_f32(QuantizedTensor(ends, qt.params))
+        low, high = _reconstruct(ends, qt.params).astype(np.float32)
     return low, high
 
 
@@ -255,38 +261,30 @@ def quantize_tensor(name, value, policy=None):
     float32. ``policy`` is as for `quantize_model`.
     """
     if isinstance(value, QuantizedTensor):
-        n = value.qdata.size
-        return value, TensorQuantReport(
-            name=name, quantized=True, elements=n,
-            bytes_before=n + PARAM_OVERHEAD_BYTES,
-            bytes_after=n + PARAM_OVERHEAD_BYTES,
-            scale=value.params.scale, zero_point=value.params.zero_point,
-            max_abs_error=0.0, mean_abs_error=0.0,
-        )
-    arr = np.asarray(value, np.float32)
-    n = arr.size
-    if not _as_predicate(policy)(name):
-        return arr, TensorQuantReport(
-            name=name, quantized=False, elements=n,
-            bytes_before=4 * n, bytes_after=4 * n,
-        )
-    try:
-        params = compute_quant_params(arr)
-    except QuantizationError as exc:
-        raise QuantizationError(f"tensor {name!r}: {exc}") from None
-    qt = quantize(arr, params)
-    # one float64 buffer: the reconstruction, then its error
-    err = dequantize(qt)
-    np.subtract(err, arr, out=err)
-    np.abs(err, out=err)
+        qt, n = value, value.qdata.size
+        bytes_before, errors = n + PARAM_OVERHEAD_BYTES, (0.0, 0.0)
+    else:
+        arr = np.asarray(value, np.float32)
+        n = arr.size
+        if not _as_predicate(policy)(name):
+            return arr, TensorQuantReport(
+                name=name, quantized=False, elements=n, bytes_before=4 * n,
+                bytes_after=4 * n)
+        try:
+            params = compute_quant_params(arr)
+        except QuantizationError as exc:
+            raise QuantizationError(f"tensor {name!r}: {exc}") from None
+        qt = quantize(arr, params)
+        # one float64 buffer: the reconstruction, then its error
+        err = dequantize(qt)
+        np.subtract(err, arr, out=err)
+        np.abs(err, out=err)
+        bytes_before, errors = 4 * n, (float(err.max()), float(err.mean()))
     return qt, TensorQuantReport(
-        name=name, quantized=True, elements=n,
-        bytes_before=4 * n,
+        name=name, quantized=True, elements=n, bytes_before=bytes_before,
         bytes_after=n + PARAM_OVERHEAD_BYTES,
-        scale=params.scale, zero_point=params.zero_point,
-        max_abs_error=float(err.max()),
-        mean_abs_error=float(err.mean()),
-    )
+        scale=qt.params.scale, zero_point=qt.params.zero_point,
+        max_abs_error=errors[0], mean_abs_error=errors[1])
 
 
 def quantization_report(rows) -> QuantizationReport:

@@ -1,13 +1,15 @@
 """CLI contract tests: thin-wrapper equality, exit codes, determinism."""
 
+import csv
 import json
 import math
 import os
+import shutil
 import struct
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -66,6 +68,23 @@ def workspace(tmp_path):
     }
 
 
+def patched_quant_trailer(workspace, name, param, value):
+    """The quantized workspace weights, written to a new file whose
+    trailer for tensor ``name`` has ``param`` byte-patched to ``value``."""
+    tensors, _ = quantize_model(read_tensor_file(workspace["weights"]))
+    good = workspace["dir"] / "good.cfpa"
+    write_tensor_file(tensors, good)
+    trailer = asdict(tensors[name].params)
+    packed = struct.pack("<fffi", *trailer.values())
+    data = good.read_bytes()
+    assert data.count(packed) == 1
+    trailer[param] = value
+    bad = workspace["dir"] / "bad.cfpa"
+    bad.write_bytes(data.replace(packed, struct.pack("<fffi",
+                                                     *trailer.values())))
+    return bad
+
+
 class TestInfer:
     def test_single_image_single_row(self, workspace, capsys):
         rc = main(["infer", "--config", str(workspace["config"]),
@@ -84,6 +103,28 @@ class TestInfer:
         model = load_weights(workspace["weights"], workspace["cfg"])
         want = forward_ppm(model, workspace["images"][0].read_bytes())
         assert out == f"{workspace['images'][0]},{want:.10g}\n"
+
+    def test_rows_read_back_as_csv_for_any_path(self, workspace, capsys):
+        image = workspace["images"][0]
+        paths = [str(workspace["dir"] / name)
+                 for name in ("a,b.ppm", 'a"b.ppm', "a\nb.ppm")]
+        for path in paths:
+            shutil.copyfile(image, path)
+        out = workspace["dir"] / "scores.csv"
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(workspace["weights"]), "--out", str(out),
+                   *(arg for path in [str(image), *paths]
+                     for arg in ("--image", path))])
+        assert rc == EXIT_OK
+        from chromapad.model import forward_ppm, load_weights
+
+        model = load_weights(workspace["weights"], workspace["cfg"])
+        score = f"{forward_ppm(model, image.read_bytes()):.10g}"
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [[path, score] for path in [str(image), *paths]]
+        # an ordinary path's row keeps its bytes
+        assert out.read_text("utf-8").startswith(f"{image},{score}\n")
 
     def test_missing_image_exits_3(self, workspace, capsys):
         rc = main(["infer", "--config", str(workspace["config"]),
@@ -155,13 +196,8 @@ class TestInfer:
     ])
     def test_non_finite_quant_params_exit_2(self, workspace, capsys, param,
                                             value):
-        tensors, _ = quantize_model(read_tensor_file(workspace["weights"]))
         name = "fusion.mix_weight"
-        qt = tensors[name]
-        tensors[name] = QuantizedTensor(
-            qdata=qt.qdata, params=replace(qt.params, **{param: value}))
-        bad = workspace["dir"] / "bad.cfpa"
-        write_tensor_file(tensors, bad)
+        bad = patched_quant_trailer(workspace, name, param, value)
         rc = main(["infer", "--config", str(workspace["config"]),
                    "--weights", str(bad),
                    "--image", str(workspace["images"][0])])
@@ -531,6 +567,19 @@ class TestQuantize:
         writer.join(timeout=10)
         assert rc == EXIT_OK and not writer.is_alive()
         assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("param", ["f_min", "f_max", "scale"])
+    def test_non_finite_quant_params_exit_2(self, workspace, capsys, param,
+                                            value):
+        name = "fusion.mix_weight"
+        bad = patched_quant_trailer(workspace, name, param, value)
+        out = workspace["dir"] / "out.cfpa"
+        rc, captured = self.quantize(bad, out, capsys)
+        assert rc == EXIT_DATA
+        assert captured.err == (f"chromapad quantize: tensor {name!r}: "
+                                f"{param} must be finite, got {value}\n")
+        assert captured.out == "" and not out.exists()
 
     def test_policy_flag(self, workspace, capsys):
         out_path = workspace["dir"] / "quant.cfpa"

@@ -646,6 +646,26 @@ class TestSerialization:
         assert path.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["model.cfpa"]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["f_min", "f_max", "scale"])
+    def test_non_finite_quant_params_named(self, tmp_path, field, value):
+        cfg = small_config(dq_enabled=True)
+        path = tmp_path / "model.cfpa"
+        save_weights(build_model(cfg), path)
+        name = "fusion.mix_weight"
+        p = read_tensor_file(path)[name].params
+        trailer = dataclasses.astuple(p)
+        data = path.read_bytes()
+        packed = struct.pack("<fffi", *trailer)
+        assert data.count(packed) == 1
+        at = ("f_min", "f_max", "scale").index(field)
+        path.write_bytes(data.replace(packed, struct.pack(
+            "<fffi", *trailer[:at], value, *trailer[at + 1:])))
+        with pytest.raises(WeightFileError,
+                           match=f"^tensor '{name}': {field} must be finite, "
+                                 f"got {value}$"):
+            load_weights(path, cfg)
+
     @staticmethod
     def entry(tmp_path, name, value):
         """The bytes of one tensor's entry in a CFPA file."""

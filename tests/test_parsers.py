@@ -179,13 +179,15 @@ LAYOUTS = (
     lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0),
     np.asfortranarray,
 )
-float32s = st.floats(width=32, allow_nan=False)
+# `QuantParams` refuses a non-finite range end or scale
+float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def quant_params(draw):
     f_min, f_max = sorted((draw(float32s), draw(float32s)))
-    scale = draw(st.floats(min_value=0.0, exclude_min=True, width=32))
+    scale = draw(st.floats(min_value=0.0, exclude_min=True,
+                           allow_infinity=False, width=32))
     # int32 values, and the first one past each end
     zero = draw(st.one_of(st.integers(-2**31, 2**31 - 1),
                           st.sampled_from([-2**31 - 1, 2**31])))

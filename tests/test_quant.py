@@ -334,3 +334,13 @@ def test_quant_params_validation():
         QuantParams(f_min=2.0, f_max=1.0, scale=1.0, zero_point=0)
     with pytest.raises(QuantizationError):
         QuantParams(f_min=0.0, f_max=1.0, scale=0.0, zero_point=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["f_min", "f_max", "scale"])
+def test_quant_params_refuse_non_finite(field, value):
+    params = dict(f_min=0.0, f_max=1.0, scale=1.0, zero_point=0)
+    params[field] = value
+    with pytest.raises(QuantizationError,
+                       match=f"^{field} must be finite, got {value}$"):
+        QuantParams(**params)
