@@ -14,11 +14,11 @@ import argparse
 import contextlib
 import csv
 import glob
-import io
 import json
 import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 from .complexity import model_complexity
 from .errors import ChromapadError
@@ -49,6 +49,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
+# the options that name a file; `open` fails on a NUL with a ValueError
+_PATH_OPTIONS = ("config", "weights", "image", "out", "scores", "det",
+                 "grid", "scores_dir")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,10 +115,13 @@ def _cmd_infer(args):
     # through this module's name, which perfbench/tracing.py wraps
     scores = score_in_shares(
         partial(score_ppm_file, model, forward=forward_ppm), args.image)
-    rows = io.StringIO()
-    csv.writer(rows, lineterminator="\n").writerows(
+    # a "\r\n" terminator makes the writer quote a path holding "\r" as
+    # well as "\n"; each row, written in one call, then ends in "\n" alone
+    rows = []
+    csv.writer(SimpleNamespace(write=rows.append),
+               lineterminator="\r\n").writerows(
         (path, f"{value:.10g}") for path, value in zip(args.image, scores))
-    _emit(rows.getvalue(), args.out)
+    _emit("".join(row[:-2] + "\n" for row in rows), args.out)
     return EXIT_OK
 
 
@@ -218,6 +224,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _PATH_OPTIONS:  # a str, or a list for --image
+            if "\0" in "".join(getattr(args, name, None) or ""):
+                raise ChromapadError(f"--{name.replace('_', '-')} path "
+                                     f"holds a NUL character")
         return _HANDLERS[args.command](args)
     except ChromapadError as exc:
         print(f"chromapad {args.command}: {exc}", file=sys.stderr)

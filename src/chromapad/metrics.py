@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ScoreCsvError
 
@@ -34,6 +35,11 @@ _APCER_CAPS = (0.05, 0.10)  # default operating points of every report
 _SCORE_BOUND = 2.0 ** 1023
 _DET_ROW = "%.10g,%.10g,%.10g\n"
 _DET_CHUNK_ROWS = 8192  # rows per format call: bounds the temporaries
+# a plain score row's first bytes as little-endian words, and a 7-byte mask
+_BONAFIDE = np.uint64(int.from_bytes(b"bonafide", "little"))
+_ATTACK = np.uint64(int.from_bytes(b"attack,", "little"))
+_BYTES7 = np.uint64(2 ** 56 - 1)
+_POW10 = np.array([10 ** k for k in range(16)], np.float64)  # all exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +191,65 @@ def evaluate_scores(s: ScoreSet, alphas=_APCER_CAPS):
 
 
 def read_scores_csv(text: str) -> ScoreSet:
-    """Parse a ``label,score`` CSV with labels bonafide/attack."""
+    """Parse a ``label,score`` CSV with labels bonafide/attack; a plain file
+    (`_read_plain_scores`) skips the `csv` loop, with the same result."""
+    plain = _read_plain_scores(text)
+    if plain is not None:
+        return plain
     reader = csv.reader(io.StringIO(text))
     try:
         return _read_score_rows(reader)
     except csv.Error as exc:
         raise ScoreCsvError(str(exc), reader.line_num) from None
+
+
+def _read_plain_scores(text):
+    """The `ScoreSet` of a plain score file, or None for any other text.
+
+    Plain: ASCII, a first line ``label,score``, then ``bonafide,<s>`` or
+    ``attack,<s>`` lines (no blank line, final newline optional, both labels
+    present), each ``<s>`` an optional sign and 1-15 digits with at most one
+    ``.``: an integer m < 2**53 with k digits after the point, so m / 10.0**k
+    is one correctly rounded division of exact doubles, the bits `float`
+    returns (Clinger's fast path).
+    """
+    if not (text.isascii() and text.startswith("label,score\n")):
+        return None
+    # a final newline, and zero bytes so every window below stays in bounds
+    buf = np.frombuffer(text.encode("ascii") + b"\n"[text.endswith("\n"):]
+                        + bytes(8), np.uint8)
+    lines = np.flatnonzero(buf == 10)
+    starts, ends = lines[:-1] + 1, lines[1:]
+    # the first eight bytes of each line, as one little-endian word
+    label = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))[starts]
+    bona = label == _BONAFIDE
+    commas = starts + np.where(bona, 8, 6)
+    width = ends - commas - 1  # of each score field
+    if not (bona.any() and not bona.all() and (buf[commas] == 44).all()
+            and (bona | ((label & _BYTES7) == _ATTACK)).all()
+            and width.max() <= 17):
+        return None
+    cols = int(width.max())
+    field = sliding_window_view(buf, cols)[ends - cols]  # right-aligned
+    sign = buf[commas + 1]
+    first = cols - width + ((sign == 43) | (sign == 45))  # after any sign
+    m, k, dots = (np.zeros(ends.size, np.int64) for _ in range(3))
+    for col in range(cols):  # Horner, left to right
+        live = first <= col
+        digit = field[:, col] - np.uint8(48)
+        is_digit = live & (digit < 10)
+        is_dot = live & (field[:, col] == 46)
+        if not (is_digit | is_dot | ~live).all():
+            return None
+        m = np.where(is_digit, m * 10 + digit, m)
+        k += is_digit & (dots > 0)
+        dots += is_dot
+    digits = cols - first - dots
+    if not ((dots <= 1).all() and 1 <= digits.min() <= digits.max() <= 15):
+        return None
+    scores = m / _POW10[k]
+    np.negative(scores, out=scores, where=sign == 45)
+    return ScoreSet(bonafide=scores[bona], attack=scores[~bona])
 
 
 def _read_score_rows(reader) -> ScoreSet:

@@ -107,7 +107,8 @@ class TestInfer:
     def test_rows_read_back_as_csv_for_any_path(self, workspace, capsys):
         image = workspace["images"][0]
         paths = [str(workspace["dir"] / name)
-                 for name in ("a,b.ppm", 'a"b.ppm', "a\nb.ppm")]
+                 for name in ("a,b.ppm", 'a"b.ppm', "a\nb.ppm", "a\rb.ppm",
+                              "a\r\nb.ppm")]
         for path in paths:
             shutil.copyfile(image, path)
         out = workspace["dir"] / "scores.csv"
@@ -909,6 +910,31 @@ class TestUsage:
         monkeypatch.setattr("chromapad.cli.model_complexity", broken)
         with pytest.raises(error):
             main(["gmacs", "--config", str(workspace["config"])])
+
+    @pytest.mark.parametrize("option", ["config", "weights", "image", "out",
+                                        "scores", "det", "grid",
+                                        "scores-dir"])
+    def test_nul_in_path_option_exits_2(self, workspace, capsys, option):
+        grid = workspace["dir"] / "grid.json"
+        grid.write_text(json.dumps([{"config": workspace["cfg"].to_json_dict(),
+                                     "scores": str(workspace["scores"])}]),
+                        encoding="utf-8")
+        argv = {
+            "config": ["gmacs", "--config"],
+            "weights": ["quantize", "--out", str(workspace["dir"] / "q.cfpa"),
+                        "--weights"],
+            "image": ["infer", "--config", str(workspace["config"]),
+                      "--weights", str(workspace["weights"]), "--image"],
+            "out": ["gmacs", "--config", str(workspace["config"]), "--out"],
+            "scores": ["eval", "--scores"],
+            "det": ["eval", "--scores", str(workspace["scores"]), "--det"],
+            "grid": ["ablate", "--grid"],
+            "scores-dir": ["ablate", "--grid", str(grid), "--scores-dir"],
+        }[option]
+        assert main(argv + [str(workspace["dir"] / "a\0b")]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{option} path holds a NUL character" in captured.err
 
     def test_unknown_subcommand_exits_1(self):
         with pytest.raises(SystemExit) as exc:

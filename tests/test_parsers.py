@@ -8,17 +8,20 @@ input. Every input must either load or raise the parser's
 traceback.
 """
 
+import hashlib
 import json
 import math
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from chromapad import metrics
 from chromapad.cli import EXIT_DATA, EXIT_IO, EXIT_OK, main
 from chromapad.errors import ChromapadError, ScoreCsvError, WeightFileError
 from chromapad.metrics import ScoreSet, read_scores_csv
@@ -304,6 +307,105 @@ def test_accepted_score_csv_evaluates_to_json_and_finite_det(work, text):
     rows = (work / "det.csv").read_text("utf-8").splitlines()[1:]
     assert rows and all(math.isfinite(float(row.split(",")[0]))
                         for row in rows)
+
+
+# a plain score file takes the vectorized reader; every other text the csv
+# loop. The ways a score file may render its floats: short decimals stay
+# plain, 16 digits, exponents and specials do not
+score_renderings = (
+    st.floats().map(repr),
+    st.floats(-1e6, 1e6).map("%.6f".__mod__),
+    st.floats(-1.0, 1.0).map("%.6f".__mod__),
+    st.floats().map("%.15g".__mod__),
+    st.floats().map("%.17g".__mod__),
+    st.floats().map("%e".__mod__),
+    st.from_regex(r"[0-9]{0,8}(\.[0-9]{0,8})?", fullmatch=True),
+    # 16 digits: the last two would misround as m / 10.0**k, m > 2**53
+    st.sampled_from([".5", "5.", "-0", "+0", "-0.0", "+.5", "-5.", "007.50",
+                     "999999999999999", "9999999999999999", ".000000000000001",
+                     "99999999.9999999", "-1234567.89012345", ".",
+                     "9.960696027142787", "99.38778408016097"]),
+)
+
+
+@st.composite
+def plain_score_texts(draw):
+    """A score file of ``label,<s>`` rows holding both labels, its scores
+    rendered one way, then at most one character put in or swapped for one
+    a plain file must not hold."""
+    # a sign put before a value that has none
+    score = st.tuples(st.sampled_from(["", "", "+", "-"]),
+                      draw(st.sampled_from(score_renderings))).map(
+        lambda pair: pair[1] if pair[1][:1] in "+-" else "".join(pair))
+    # and labels one letter off
+    labels = draw(st.permutations(["bonafide", "attack"] + draw(st.lists(
+        st.sampled_from(["bonafide", "attack"] * 3 + ["bonafida", "attach"]),
+        max_size=6))))
+    text = "label,score\n" + "\n".join(
+        f"{label},{draw(score)}" for label in labels)
+    text += draw(st.sampled_from(["\n", ""]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(['"', "\r", "\n", ",", "\0", " ", "\t",
+                                     "e", "_", "\u0663", ".", "+", "-"]))
+        text = text[:at] + char + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+def read_outcome(text):
+    """The float64 bytes `read_scores_csv` returns, or its error."""
+    try:
+        scores = read_scores_csv(text)
+    except ScoreCsvError as exc:
+        return str(exc), exc.line
+    return scores.bonafide.tobytes(), scores.attack.tobytes()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(plain_score_texts())
+@example("label,score\nbonafide,-0\nattack,+.5\nattack,5.\nattack,-007.50")
+@example("label,score\nbonafide,9.960696027142787\nattack,99.38778408016097\n")
+@example("label,score\nbonafide,1.2.3\nattack,1\n")
+@example("label,score\nbonafidee0.5\nattack,1\n")
+@example("label,score\nbonafide,0.5\nattach,1\n")
+def test_score_csv_reads_as_the_csv_loop_alone(text):
+    with mock.patch.object(metrics, "_read_plain_scores", return_value=None):
+        want = read_outcome(text)
+    assert read_outcome(text) == want
+
+
+def eval_bulk_text(seed, n=20000):
+    """A plain score file shaped like the eval_bulk benchmark's: six
+    decimals of two beta samples, labels shuffled."""
+    rng = np.random.default_rng(seed)
+    bonafide, attack = rng.beta(5.0, 2.0, n), rng.beta(2.0, 5.0, n)
+    rows = ([f"bonafide,{v:.6f}" for v in bonafide]
+            + [f"attack,{v:.6f}" for v in attack])
+    return "label,score\n" + "\n".join(
+        rows[j] for j in rng.permutation(2 * n)) + "\n"
+
+
+def test_plain_score_csv_skips_the_csv_module(work):
+    path = work / "bulk.csv"
+    path.write_text(eval_bulk_text(29), encoding="utf-8")
+    argv = ["eval", "--scores", str(path), "--out", str(work / "bulk.json")]
+    with mock.patch.object(metrics.csv, "reader",
+                           wraps=metrics.csv.reader) as reader:
+        assert main(argv) == EXIT_OK
+    assert not reader.called
+    report = (work / "bulk.json").read_bytes()
+    with mock.patch.object(metrics, "_read_plain_scores", return_value=None):
+        assert main(argv) == EXIT_OK
+    assert (work / "bulk.json").read_bytes() == report
+
+
+def test_eval_bulk_shaped_scores_pinned():
+    # digest of the csv loop's float() values, before the vectorized reader
+    scores = read_scores_csv(eval_bulk_text(29))
+    digest = hashlib.sha256(scores.bonafide.tobytes()
+                            + scores.attack.tobytes()).hexdigest()
+    assert digest == ("9381f64b9fd75302eda9487a594e1522"
+                      "a786d3951ffab68dc50aabfea22a15e5")
 
 
 # --- ablation grids ----------------------------------------------------------
