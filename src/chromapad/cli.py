@@ -110,6 +110,14 @@ def _emit(text, out_path):
 
 
 def _cmd_infer(args):
+    # each path is a cell of the UTF-8 CSV; a byte that is not UTF-8
+    # reaches argv as a lone surrogate, which no UTF-8 text can hold
+    for path in args.image:
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ChromapadError(
+                f"--image path {path!r} is not UTF-8") from None
     cfg = load_config(args.config)
     model = load_weights(args.weights, cfg)
     # through this module's name, which perfbench/tracing.py wraps

@@ -590,8 +590,10 @@ def score_in_shares(score, paths):
 
 # --- weight file serialization -------------------------------------------
 
+# dtype code -> payload element type: 0 float32, 1 quantized int8
 _DTYPE_F32 = 0
 _DTYPE_QINT8 = 1
+_PAYLOAD_TYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_QINT8: np.dtype("i1")}
 
 
 def write_tensor_file(tensors, path):
@@ -658,7 +660,8 @@ def _write_tensor(fh, name, value):
         code, payload = _DTYPE_QINT8, value.qdata
         trailer = QUANT_TRAILER.pack(*astuple(p))
     else:
-        code, payload = _DTYPE_F32, np.asarray(value, "<f4")
+        code, payload = _DTYPE_F32, value
+    payload = np.asarray(payload, _PAYLOAD_TYPES[code])
     _check_rank(name, payload.ndim)  # as the reader checks it
     fh.write(struct.pack(f"<I{len(encoded)}sBB{payload.ndim}Q",
                          len(encoded), encoded, code, payload.ndim,
@@ -668,93 +671,70 @@ def _write_tensor(fh, name, value):
 
 
 def _write_payload(fh, payload):
-    """Write ``payload`` in row-major order: from its own buffer when that
-    is C-contiguous, otherwise through a buffer of `PIECE_BYTES`, filled a
-    tile of at most `_TILE` elements per row at a time so that the strided
-    reads stay in cache."""
-    if payload.flags.c_contiguous:
-        fh.write(payload)
+    """Write ``payload`` in row-major order through `_relay`, filling each
+    buffer a tile of at most `_TILE` elements per row at a time so that the
+    strided reads stay in cache."""
+    for piece, buf in _relay(payload):
+        if piece is not buf:
+            piece, out = np.atleast_2d(piece, buf)
+            step = max(1, _TILE // math.prod(piece.shape[2:]))
+            for c in range(0, piece.shape[1], step):
+                out[:, c:c + step] = piece[:, c:c + step]
+        fh.write(buf)
+
+
+def _relay(arr):
+    """(piece, buffer) pairs that walk ``arr`` in row-major order. A
+    C-contiguous ``arr`` is the one piece and its own buffer; otherwise each
+    of its `c_order_pieces` comes with a C-ordered buffer of its shape, cut
+    from one buffer of `PIECE_BYTES` that every piece reuses."""
+    if arr.flags.c_contiguous:
+        yield arr, arr
         return
-    buf = np.empty(PIECE_BYTES // payload.itemsize, payload.dtype)
-    for index in c_order_pieces(payload.shape, buf.size):
-        piece = np.atleast_2d(payload[index])
-        out = buf[:piece.size].reshape(piece.shape)
-        step = max(1, _TILE // math.prod(piece.shape[2:]))
-        for c in range(0, piece.shape[1], step):
-            out[:, c:c + step] = piece[:, c:c + step]
-        fh.write(out)
-
-
-def _new_array(dtype, shape, name, layout=np.empty):
-    try:
-        return layout(shape, dtype)
-    except ValueError:  # a zero extent beside extents too large to span
-        raise WeightFileError(f"tensor {name!r} has extents {shape} that "
-                              f"no array can hold") from None
+    buf = np.empty(PIECE_BYTES // arr.itemsize, arr.dtype)
+    for index in c_order_pieces(arr.shape, buf.size):
+        piece = arr[index]
+        yield piece, buf[:piece.size].reshape(piece.shape)
 
 
 class _Reader:
-    """Position-tracked reads from a seekable binary stream of ``size``
-    bytes; each read is checked against the bytes left before anything is
+    """Checked reads from a seekable binary stream, at the stream's own
+    offset; each read is checked against the bytes left before anything is
     read or allocated for it."""
 
-    def __init__(self, fh, size):
+    def __init__(self, fh):
         self.fh = fh
-        self.size = size
-        self.pos = 0
+        self.size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
 
-    def _check(self, n, what):
-        if n > self.size - self.pos:
-            raise self._truncated(what)
+    def check(self, n, what):
+        """The stream's offset, which ``n`` more bytes must follow."""
+        at = self.fh.tell()
+        if n > self.size - at:
+            raise WeightFileError(
+                f"truncated while reading {what} at byte offset {at}")
+        return at
 
-    def _truncated(self, what):
-        return WeightFileError(
-            f"truncated while reading {what} at byte offset {self.pos}")
+    def read_into(self, arr, what):
+        """Fill ``arr`` from the stream in row-major order, through
+        `_relay`; returns ``arr``."""
+        for piece, buf in _relay(arr):
+            at = self.check(buf.nbytes, what)
+            # a read comes up short where the file shrank after its size
+            # was taken
+            if self.fh.readinto(buf) != buf.nbytes:
+                raise WeightFileError(
+                    f"truncated while reading {what} at byte offset {at}")
+            if piece is not buf:
+                piece[...] = buf
+        return arr
 
     def take(self, n, what):
-        self._check(n, what)
-        piece = self.fh.read(n)
-        if len(piece) != n:  # the file shrank after its size was taken
-            raise self._truncated(what)
-        self.pos += n
-        return piece
+        self.check(n, what)  # before the bytes are allocated
+        return self.read_into(np.empty(n, np.uint8), what).tobytes()
 
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def skip_array(self, dtype, shape, name):
-        """Check the payload of tensor ``name`` and step past it unread;
-        returns its byte offset."""
-        n = math.prod(shape) * np.dtype(dtype).itemsize
-        self._check(n, f"payload of {name!r}")
-        if n == 0:
-            _new_array(dtype, shape, name)  # allocates nothing
-        offset = self.pos
-        self.fh.seek(n, io.SEEK_CUR)
-        self.pos += n
-        return offset
-
-    def read_array(self, dtype, shape, name, offset, layout):
-        """The payload of tensor ``name`` at ``offset`` in a new array made
-        by ``layout``: read straight into it when it is row-major,
-        otherwise through a buffer of `PIECE_BYTES`."""
-        self.fh.seek(offset)
-        self.pos = offset
-        arr = _new_array(dtype, shape, name, layout)
-        if arr.flags.c_contiguous:
-            return self._read_into(arr, name)
-        buf = np.empty(PIECE_BYTES // arr.itemsize, arr.dtype)
-        for index in c_order_pieces(shape, buf.size):
-            piece = arr[index]
-            piece[...] = self._read_into(
-                buf[:piece.size].reshape(piece.shape), name)
-        return arr
-
-    def _read_into(self, arr, name):
-        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-            raise self._truncated(f"payload of {name!r}")
-        self.pos += arr.nbytes
-        return arr
 
 
 def read_tensor_file(path):
@@ -777,32 +757,24 @@ def iter_tensor_file(path):
 
 def _read_tensors(path, layout):
     # `iter_tensor_file`, each array made by ``layout``
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            yield from _iter_tensors(_Reader(fh, st.st_size), layout)
-            return
-        data = fh.read()
-    yield from _iter_tensors(_Reader(io.BytesIO(data), len(data)), layout)
-
-
-def _iter_tensors(r, layout):
-    entries = _header_pass(r)
-    for name in sorted(entries):
-        shape, offset, params = entries[name]
-        if params is None:
+    with open(path, "rb") as file:
+        r = _Reader(file if stat.S_ISREG(os.fstat(file.fileno()).st_mode)
+                    else io.BytesIO(file.read()))
+        entries = _header_pass(r)
+        for name in sorted(entries):
+            dtype, shape, offset, params = entries[name]
+            r.fh.seek(offset)
+            arr = r.read_into(layout(shape, dtype), f"payload of {name!r}")
             # native order for the kernels: no copy on a little-endian host
-            yield name, r.read_array("<f4", shape, name, offset,
-                                     layout).astype(np.float32, copy=False)
-        else:
-            yield name, QuantizedTensor(
-                qdata=r.read_array(np.int8, shape, name, offset, layout),
-                params=params)
+            yield name, (arr.astype(np.float32, copy=False) if params is None
+                         else QuantizedTensor(qdata=arr, params=params))
+            del arr  # dropped before the next payload is allocated
 
 
 def _header_pass(r):
-    """name -> (shape, payload offset, quantization params or None for a
-    float tensor) of every tensor, each checked as the file is read."""
+    """name -> (payload element type, shape, payload offset, quantization
+    params or None for a float tensor) of every tensor, each checked as the
+    file is read."""
     magic = r.take(4, "magic")
     if magic != WEIGHT_MAGIC:
         raise WeightFileError(
@@ -822,26 +794,34 @@ def _header_pass(r):
         except UnicodeDecodeError as exc:
             raise WeightFileError(
                 f"tensor name is not UTF-8 at byte offset "
-                f"{r.pos - name_len + exc.start}"
+                f"{r.fh.tell() - name_len + exc.start}"
             ) from None
-        dtype, rank = r.unpack("<BB", f"descriptor of {name!r}")
+        code, rank = r.unpack("<BB", f"descriptor of {name!r}")
         _check_rank(name, rank)
         shape = r.unpack(f"<{rank}Q", f"extents of {name!r}")
-        if dtype == _DTYPE_F32:
-            entries[name] = (shape, r.skip_array("<f4", shape, name), None)
-        elif dtype == _DTYPE_QINT8:
-            offset = r.skip_array(np.int8, shape, name)
+        if code not in _PAYLOAD_TYPES:
+            raise WeightFileError(
+                f"tensor {name!r} has unknown dtype code {code}"
+            )
+        dtype = _PAYLOAD_TYPES[code]
+        n = math.prod(shape) * dtype.itemsize
+        offset = r.check(n, f"payload of {name!r}")
+        if n == 0:  # a zero extent may sit beside others no array spans
+            try:
+                np.empty(shape, dtype)
+            except ValueError:
+                raise WeightFileError(f"tensor {name!r} has extents {shape} "
+                                      f"that no array can hold") from None
+        r.fh.seek(n, io.SEEK_CUR)
+        params = None
+        if code == _DTYPE_QINT8:
             trailer = r.unpack(QUANT_TRAILER.format,
                                f"quant params of {name!r}")
             try:
                 params = QuantParams(*trailer)
             except QuantizationError as exc:
                 raise WeightFileError(f"tensor {name!r}: {exc}") from None
-            entries[name] = (shape, offset, params)
-        else:
-            raise WeightFileError(
-                f"tensor {name!r} has unknown dtype code {dtype}"
-            )
+        entries[name] = (dtype, shape, offset, params)
     return entries
 
 

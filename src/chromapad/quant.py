@@ -125,10 +125,11 @@ def compute_quant_params(f) -> QuantParams:
     arr = np.asarray(f, np.float32)
     if arr.size == 0:
         raise QuantizationError("cannot quantize an empty tensor")
-    if not np.isfinite(arr).all():
-        raise QuantizationError("cannot quantize a tensor with non-finite values")
+    # min and max propagate NaN, and neither copies the tensor
     f_min = float(arr.min())
     f_max = float(arr.max())
+    if not (np.isfinite(f_min) and np.isfinite(f_max)):
+        raise QuantizationError("cannot quantize a tensor with non-finite values")
     # a constant tensor, or a span too small for a nonzero float32 scale
     # (a few subnormals wide), takes scale 1
     scale = float(np.float32((f_max - f_min) / 255.0)) or 1.0

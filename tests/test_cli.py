@@ -127,6 +127,52 @@ class TestInfer:
         # an ordinary path's row keeps its bytes
         assert out.read_text("utf-8").startswith(f"{image},{score}\n")
 
+    @staticmethod
+    def non_utf8_image(workspace):
+        """A copy of a workspace image under a name holding byte 0xFF,
+        which argv decodes to the lone surrogate U+DCFF."""
+        path = os.path.join(str(workspace["dir"]), "\udcff.ppm")
+        shutil.copyfile(workspace["images"][0], path)
+        return path
+
+    def test_non_utf8_image_path_refused_before_weights(self, workspace,
+                                                        capsys):
+        path = self.non_utf8_image(workspace)
+        out = workspace["dir"] / "infer.csv"
+        # refused before the weights load: a missing weight file is no
+        # I/O error here
+        rc = main(["infer", "--config", str(workspace["config"]),
+                   "--weights", str(workspace["dir"] / "ghost.cfpa"),
+                   "--out", str(out), "--image", str(workspace["images"][0]),
+                   "--image", path])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"chromapad infer: --image path {path!r} is not UTF-8\n"
+        assert not out.exists()
+
+    def test_non_utf8_image_path_refused_on_strict_stdout(self, workspace):
+        import subprocess
+
+        import chromapad
+
+        path = self.non_utf8_image(workspace)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            chromapad.__file__)))
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from chromapad.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "infer", "--config", str(workspace["config"]),
+             "--weights", str(workspace["weights"]), "--image", path],
+            capture_output=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DATA, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr == \
+            f"chromapad infer: --image path {path!r} is not UTF-8\n".encode()
+
     def test_missing_image_exits_3(self, workspace, capsys):
         rc = main(["infer", "--config", str(workspace["config"]),
                    "--weights", str(workspace["weights"]),

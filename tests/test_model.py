@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -41,6 +42,7 @@ from chromapad.model import (
     ablation_csv,
     build_model,
     forward,
+    iter_tensor_file,
     load_weights,
     read_tensor_file,
     save_config,
@@ -578,6 +580,54 @@ class TestSerialization:
             with pytest.raises(WeightFileError, match="truncated while "
                                r"reading .* at byte offset \d+$"):
                 read_tensor_file(cut)
+
+    # SHA-256 of the reader's messages below, one a line, in order
+    READER_MESSAGES_SHA256 = \
+        "eadc4f022988ecf6186f9fdb9d185314ea40298ad26455c0a25fa9252f4bfb91"
+
+    def test_every_reader_message_pinned(self, tmp_path):
+        # one float and one quantized tensor: a (2, 3) float32 'a' whose
+        # name sits at byte 16, dtype code at 17 and rank at 18, then 'b'
+        # with its 16-byte quantization trailer last
+        f = np.arange(6, dtype=np.float32).reshape(2, 3)
+        path = tmp_path / "full.cfpa"
+        write_tensor_file({"a": f, "b": quantize(f, compute_quant_params(f))},
+                          path)
+        data = path.read_bytes()
+        files = [data[:length] for length in range(len(data))]
+        for at, byte in ((0, b"N"), (4, b"\x09"), (16, b"\xff"),
+                         (17, b"\x07"), (18, b"\x00"), (18, b"\x05")):
+            files.append(data[:at] + byte + data[at + 1:])
+        good = struct.unpack("<fffi", data[-16:])
+        for trailer in ((np.nan, *good[1:]), (good[0], np.inf, *good[2:]),
+                        (*good[:2], -np.inf, good[3]),
+                        (good[1], good[0], *good[2:]), (*good[:2], 0.0, 0)):
+            files.append(data[:-16] + struct.pack("<fffi", *trailer))
+        head = b"CFPA" + struct.pack("<III", 1, 1, 1) + b"a"
+        files += [head + struct.pack("<BBQ", 0, 1, 2**40),
+                  head + struct.pack("<BBQ", 1, 1, 2**40),
+                  head + struct.pack("<BBQQ", 0, 2, 0, 2**62),
+                  head + struct.pack("<BBQQ", 1, 2, 0, 2**63)]
+        messages = []
+        for content in files:
+            path.write_bytes(content)
+            with pytest.raises(WeightFileError) as err:
+                read_tensor_file(path)
+            messages.append(str(err.value))
+        digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+        assert digest == self.READER_MESSAGES_SHA256, "\n".join(messages)
+
+    def test_file_shrunk_while_read_reports_truncation(self, tmp_path):
+        path = tmp_path / "shrinks.cfpa"
+        write_tensor_file({"a": np.ones(6, np.float32),
+                           "b": np.ones((300, 500), np.float32)}, path)
+        pairs = iter_tensor_file(path)
+        assert next(pairs)[0] == "a"  # the header pass saw the whole file
+        os.truncate(path, path.stat().st_size - 1000)
+        with pytest.raises(WeightFileError) as err:
+            next(pairs)
+        assert str(err.value) == \
+            "truncated while reading payload of 'b' at byte offset 74"
 
     def test_huge_claimed_payload_fails_before_allocating(self, tmp_path):
         path = tmp_path / "huge.cfpa"

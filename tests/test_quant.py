@@ -59,10 +59,22 @@ class TestParams:
             compute_quant_params(np.zeros(0, np.float32))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(QuantizationError):
-            compute_quant_params(np.array([1.0, np.nan], np.float32))
-        with pytest.raises(QuantizationError):
-            compute_quant_params(np.array([1.0, np.inf], np.float32))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(QuantizationError, match="^cannot quantize a "
+                               "tensor with non-finite values$"):
+                compute_quant_params(np.array([1.0, bad, 2.0], np.float32))
+
+    def test_finiteness_check_copies_no_tensor(self):
+        f = np.random.default_rng(1).standard_normal((768, 2304)) \
+            .astype(np.float32)
+        compute_quant_params(f)  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            compute_quant_params(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.size  # less than a bool copy of the tensor
 
 
 class TestRoundTrip:
